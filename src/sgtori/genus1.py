@@ -75,12 +75,14 @@ class Genus1Data:
     lambda_hat_plus: complex
     nu_hat_plus: complex
     kernel: ws.EllipticKernel
+    zeta_plus: complex      # zeta(z_+)
+    c: float                # C = -Re(tau_tilde), see c_constant
 
     @classmethod
     def from_rt(cls, r, t):
         k = ws.kernel_from_r(r)
         zp = 0.5 * k.omega_p + t
-        p, dp, _ = ws.wp_all(k, zp)
+        p, dp, ztp = ws.wp_all(k, zp)
         lhp = k.e3 - p
         nhp = 0.5 * dp
         if abs(abs(lhp) - 1.0) > 1e-10:
@@ -88,9 +90,13 @@ class Genus1Data:
         if abs(nhp ** 2 + lhp * (lhp + r) * (lhp + 1.0 / r)) > 1e-10 * max(
                 1.0, abs(nhp) ** 2):
             raise AssertionError("curve equation violated at z_+")
+        zt_m = ws.wzeta(k, zp - k.omega_p)
+        c = (k.omega_p * (ztp + zt_m + k.eta_p) - 2.0 * k.eta_p * zp) / (1j * _PI)
+        if abs(c.imag) > 1e-8 * max(1.0, abs(c)):
+            raise AssertionError(f"C should be real, got {c}")
         # phi anchored continuously with phi(t=0) = pi/4
         phi = 0.25 * _PI + 0.25 * cmath.phase(lhp)
-        return cls(r, float(t), phi, zp, lhp, nhp, k)
+        return cls(r, float(t), phi, zp, lhp, nhp, k, ztp, c.real)
 
     @classmethod
     def from_rphi(cls, r, phi):
@@ -164,15 +170,9 @@ def _zeta_shift(d, z):
 
 
 def c_constant(d):
-    """C = -Re(tau_tilde): the coefficient tying ln mu_2 to ln mu_1."""
-    k = d.kernel
-    zp = d.z_plus
-    _, _, ztp = ws.wp_all(k, zp)
-    zt_m = ws.wzeta(k, zp - k.omega_p)
-    val = (k.omega_p * (ztp + zt_m + k.eta_p) - 2.0 * k.eta_p * zp) / (1j * _PI)
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
-        raise AssertionError(f"C should be real, got {val}")
-    return val.real
+    """C = -Re(tau_tilde): the coefficient tying ln mu_2 to ln mu_1
+    (computed once, with its reality check, in Genus1Data.from_rt)."""
+    return d.c
 
 
 def _check_pole(d, z, tol=1e-8):
@@ -206,7 +206,7 @@ def log_mu2(d, z):
     _, _, zt = ws.wp_all(k, z)
     zt_m = ws.wzeta(k, z - k.omega_p)
     main = k.omega_p * (zt + zt_m + k.eta_p) - 2.0 * k.eta_p * z
-    return main - c_constant(d) * log_mu1(d, z)
+    return main - d.c * log_mu1(d, z)
 
 
 def log_mu_pair_near_zero(d, delta):
@@ -229,7 +229,7 @@ def log_mu_pair_near_zero(d, delta):
     zt_shift = zt + k.eta_p + ratio              # zeta(omega' + delta)
     main = (k.omega_p * (zt_shift + zt + k.eta_p)
             - 2.0 * k.eta_p * (k.omega_p + delta))
-    ln2 = main - c_constant(d) * ln1
+    ln2 = main - d.c * ln1
     lam = -cmath.exp(-2j * d.phi) * lam_hat
     return ln1, ln2, nu_hat, lam
 
@@ -238,9 +238,8 @@ def tau_tilde(d):
     """Conformal class (2 eta' z_+ - 2 omega' zeta(z_+)) / (pi i), cross-checked
     against the split real/imaginary formulas."""
     k = d.kernel
-    _, _, ztp = ws.wp_all(k, d.z_plus)
-    val = (2.0 * k.eta_p * d.z_plus - 2.0 * k.omega_p * ztp) / (1j * _PI)
-    re = -c_constant(d)
+    val = (2.0 * k.eta_p * d.z_plus - 2.0 * k.omega_p * d.zeta_plus) / (1j * _PI)
+    re = -d.c
     im_val = k.omega_p * d.nu_hat_plus / (_PI * d.lambda_hat_plus)
     if abs(im_val.imag) > 1e-8 * max(1.0, abs(im_val)):
         raise AssertionError("Im tau formula returned a non-real value")
@@ -259,7 +258,7 @@ def lattice_g1(d):
     """
     rot = 1j * cmath.exp(-1j * d.phi)
     w1 = -1j * _PI * d.lambda_hat_plus / d.nu_hat_plus
-    w2 = d.kernel.omega_p - c_constant(d) * w1
+    w2 = d.kernel.omega_p - d.c * w1
     return rot * w1, rot * w2
 
 
@@ -312,7 +311,7 @@ def dlog_mu2_dz(d, z):
     p, _, _ = ws.wp_all(k, z)
     p_m = ws.wp(k, z - k.omega_p)
     main = k.omega_p * (-p - p_m) - 2.0 * k.eta_p
-    return main - c_constant(d) * dlog_mu1_dz(d, z)
+    return main - d.c * dlog_mu1_dz(d, z)
 
 
 def recover_b_hats(d, n_samples=10):
@@ -352,7 +351,7 @@ def b_hats_closed_form(d):
     with b1_0 = pi i lam_h+/nu_h+."""
     k = d.kernel
     k1 = 1j * _PI * d.lambda_hat_plus / d.nu_hat_plus
-    c = c_constant(d)
+    c = d.c
     b1 = np.array([k1, 0.0, -k1, 0.0])
     b2 = np.array([-k.omega_p - c * k1,
                    2.0 * (k.omega_p * k.e3 + k.eta_p),

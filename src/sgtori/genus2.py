@@ -405,6 +405,7 @@ def contour_integrals(curve, contour, funcs, conv_tol=1e-8, base_panels=4,
         raise BranchCollisionError(
             f"contour within {min_clearance:.0e} of a branch point")
     prev = None
+    change = math.inf  # no estimate until two panel counts have been compared
     panels = base_panels
     for _ in range(max_doublings + 1):
         lam, w = _contour_nodes(curve, contour, panels)

@@ -8,8 +8,7 @@ State layout (complex128 vector):
 
 The kernels are jitted with numba unless the environment variable
 ``SGTORI_NUMBA`` is set to ``0`` (or numba is unavailable), in which case the
-same functions run as plain Python/NumPy.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+same functions run as plain Python/NumPy.
 """
 
 import os

@@ -358,9 +358,7 @@ def genus1_period(s0, tol=1e-12):
                 break
     if len(crossings) < 2:
         raise StepCollapseError("period not detected within the search span")
-    if abs(s0.alpha_hat) < 1e-12:
-        # started at a turning point: crossings are the half and full period
-        return 2.0 * (crossings[1] - crossings[0])
+    # consecutive zero crossings of alpha_hat are half a period apart
     return 2.0 * (crossings[1] - crossings[0])
 
 

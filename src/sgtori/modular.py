@@ -25,11 +25,6 @@ class ReducedTau:
         return np.array(self.unimodular, dtype=int)
 
 
-def _apply(m, tau):
-    (a, b), (c, d) = m
-    return (a * tau + b) / (c * tau + d)
-
-
 def _mul(m2, m1):
     (a, b), (c, d) = m2
     (e, f), (g, h) = m1

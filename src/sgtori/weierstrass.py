@@ -22,8 +22,17 @@ relation reads eta*omega' - eta'*omega = pi i / 2.
 
 Evaluation strategy: truncated Laurent series about 0 after reduction into
 the centered period cell, followed by argument doubling with the elliptic
-group law (no external special-function dependency).  At r = 1 the lattice
-degenerates (omega = inf) and the hyperbolic limits
+group law (no external special-function dependency).  With u = z^2 the
+series are
+
+    wp(z)  = z^-2 + z^2 P(u),   wp'(z) = -2 z^-3 + z Q(u),
+    zeta(z) = z^-1 - z^3 R(u),
+
+and P, Q, R are evaluated together by Horner's rule in u, one pass over
+three coefficient tuples precomputed when the kernel is built.  Kernels are
+immutable and memoised per r (a bounded LRU cache on kernel_from_r), so a
+sweep over many points at few values of r builds each kernel once.  At
+r = 1 the lattice degenerates (omega = inf) and the hyperbolic limits
 
     wp(z) = 1/3 + 1/sinh^2 z,   zeta(z) = -z/3 + coth z,
     omega' = i pi/2,            eta' = -i pi/6
@@ -31,8 +40,9 @@ degenerates (omega = inf) and the hyperbolic limits
 are used instead.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +60,8 @@ def _agm(a, b):
 
 
 def _series_coeffs(g2, g3):
-    """Coefficients c_k of wp(z) = z^-2 + sum_{k>=2} c_k z^(2k-2)."""
-    c = np.zeros(_NC + 1)
+    """Coefficients c_k of wp(z) = z^-2 + sum_{k>=2} c_k z^(2k-2), k = 0.._NC."""
+    c = [0.0] * (_NC + 1)
     c[2] = g2 / 20.0
     c[3] = g3 / 28.0
     for k in range(4, _NC + 1):
@@ -59,7 +69,16 @@ def _series_coeffs(g2, g3):
         for m in range(2, k - 1):
             s += c[m] * c[k - m]
         c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
-    return c
+    return tuple(c)
+
+
+def _horner_tuples(c):
+    """Reversed coefficients of P, Q, R in u = z^2 (see module docstring):
+    P_j = c_{j+2}, Q_j = (2j + 2) c_{j+2}, R_j = c_{j+2}/(2j + 3)."""
+    js = range(_NC - 2, -1, -1)
+    return (tuple(c[j + 2] for j in js),
+            tuple((2 * j + 2) * c[j + 2] for j in js),
+            tuple(c[j + 2] / (2 * j + 3) for j in js))
 
 
 @dataclass(frozen=True)
@@ -74,15 +93,19 @@ class EllipticKernel:
     omega_p: complex        # imaginary half-period
     eta: complex            # zeta(omega); None at r = 1
     eta_p: complex          # zeta(omega')
-    coeffs: np.ndarray = None
+    coeffs: tuple = None    # c_0.._NC of the wp series; None at r = 1
+    horner: tuple = None    # (P, Q, R) reversed, for _series_eval
 
     @property
     def degenerate(self):
         return not math.isfinite(self.omega)
 
 
+@functools.lru_cache(maxsize=256)
 def kernel_from_r(r):
-    """Branch values, invariants, half-periods and quasi-periods at parameter r."""
+    """Branch values, invariants, half-periods and quasi-periods at parameter r.
+
+    Memoised per r; the returned kernel is immutable and shared."""
     if not (0.0 < r <= 1.0):
         raise DomainError(f"r must lie in (0, 1], got {r}")
     s = r + 1.0 / r
@@ -93,36 +116,25 @@ def kernel_from_r(r):
     g3 = (8.0 / 27.0) * s ** 3 - (4.0 / 3.0) * s
     if r == 1.0:
         return EllipticKernel(r, e1, e2, e3, g2, g3, math.inf, 0.5j * math.pi,
-                              None, -1j * math.pi / 6.0, None)
+                              None, -1j * math.pi / 6.0)
     omega = math.pi / (2.0 * _agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2)))
     omega_p = 1j * math.pi / (2.0 * _agm(math.sqrt(e1 - e3), math.sqrt(e2 - e3)))
     coeffs = _series_coeffs(g2, g3)
-    k = EllipticKernel(r, e1, e2, e3, g2, g3, omega, omega_p, 0j, 0j, coeffs)
-    eta = _eval_raw(k, complex(omega))[2]
-    eta_p = _eval_raw(k, omega_p)[2]
-    object.__setattr__(k, "eta", eta)
-    object.__setattr__(k, "eta_p", eta_p)
-    return k
+    k = EllipticKernel(r, e1, e2, e3, g2, g3, omega, omega_p, 0j, 0j, coeffs,
+                       _horner_tuples(coeffs))
+    return replace(k, eta=_eval_raw(k, complex(omega))[2],
+                   eta_p=_eval_raw(k, omega_p)[2])
 
 
 def _series_eval(k, z):
     """(wp, wp', zeta) from the Laurent series; valid well inside the cell."""
-    c = k.coeffs
-    z2 = z * z
-    p = 0j
-    dp = 0j
-    zt = 0j
-    # wp: c_m z^(2m-2); wp': (2m-2) c_m z^(2m-3); zeta: -c_m z^(2m-1)/(2m-1)
-    zp = z2  # z^(2m-2) for m = 2 -> z^2
-    for m in range(2, _NC + 1):
-        cm = c[m]
-        p += cm * zp
-        dp += (2 * m - 2) * cm * zp / z
-        zt -= cm * zp * z / (2 * m - 1)
-        zp *= z2
-        if abs(zp) < 1e-280:
-            break
-    return p + 1.0 / z2, dp - 2.0 / (z2 * z), zt + 1.0 / z
+    u = z * z
+    p = dp = zt = 0j
+    for a, b, c in zip(*k.horner):
+        p = p * u + a
+        dp = dp * u + b
+        zt = zt * u + c
+    return p * u + 1.0 / u, dp * z - 2.0 / (u * z), 1.0 / z - zt * u * z
 
 
 def _eval_raw(k, z):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from sgtori.cli import main
+from sgtori.weierstrass import kernel_from_r
 
 
 def run(capsys, *argv):
@@ -142,6 +143,16 @@ def test_figure_determinism_and_jobs(tmp_path, capsys):
     assert a.read_bytes() == c.read_bytes()
     # worker pool changes only the config echo, never the rows or their order
     assert a.read_text().split("\n")[1:] == b.read_text().split("\n")[1:]
+
+
+def test_figure3_stdout_identical_with_cold_and_warm_kernel_memo(capsys):
+    argv = ("figure3", "--r-list", "0.3,0.9,1.0", "--t-steps", "5")
+    kernel_from_r.cache_clear()
+    code_a, out_a, _ = run(capsys, *argv)
+    code_b, out_b, _ = run(capsys, *argv)
+    assert code_a == code_b == 0
+    assert out_a.count("\n") == 2 + 3 * 5
+    assert out_a.encode() == out_b.encode()
 
 
 def test_immersion_export(tmp_path, capsys):

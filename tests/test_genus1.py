@@ -281,6 +281,21 @@ def test_c_constant_is_minus_re_tau():
     assert abs(c_constant(d) + tau_tilde(d).real) < 1e-10
 
 
+@pytest.mark.parametrize("make", [lambda: Genus1Data.from_rt(0.45, 0.52),
+                                  lambda: Genus1Data.from_rt(1.0, -0.3),
+                                  lambda: Genus1Data.from_rphi(0.7, 0.4)])
+def test_stored_c_and_zeta_plus_match_recomputation(make):
+    d = make()
+    k, zp = d.kernel, d.z_plus
+    ztp = ws.wp_all(k, zp)[2]
+    zt_m = ws.wzeta(k, zp - k.omega_p)
+    val = (k.omega_p * (ztp + zt_m + k.eta_p) - 2.0 * k.eta_p * zp) / (1j * math.pi)
+    assert d.zeta_plus == ztp
+    assert abs(val.imag) <= 1e-8 * max(1.0, abs(val))
+    assert d.c == val.real
+    assert c_constant(d) == d.c
+
+
 def test_log_mu_pole_errors():
     from sgtori.errors import PoleError
     d = Genus1Data.from_rt(0.6, 0.2)

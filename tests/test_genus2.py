@@ -272,6 +272,16 @@ def test_quadrature_self_convergence(biquadratic, biq_cycles):
     assert abs(vals1[0] - vals2[0]) <= 1e-8 * max(1.0, abs(vals1[0]))
 
 
+def test_quadrature_without_doublings_is_uncertified(biquadratic, biq_cycles):
+    # one panel count gives no self-convergence estimate
+    f = [lambda lam: lam - lam ** 2]
+    with pytest.raises(PathIntegrationError):
+        contour_integrals(biquadratic, biq_cycles.a1, f, max_doublings=0)
+    vals, change = contour_integrals(biquadratic, biq_cycles.a1, f,
+                                     max_doublings=0, strict=False)
+    assert change == math.inf and np.all(np.isfinite(vals))
+
+
 def test_lattice_generators_are_flow_periods():
     # end-to-end cross-validation of two independent routes: the lattice from
     # contour integrals must consist of actual periods of the commuting flows

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from sgtori.errors import DomainError, PoleError
 from sgtori.weierstrass import (domega_p_dr, kernel_from_r, legendre_defect,
                                 omega_p_quadrature, wp, wp_all, wp_prime,
-                                wzeta)
+                                wp_small, wzeta)
 
 
 def test_degenerate_kernel_values():
@@ -37,10 +38,43 @@ def test_legendre_and_quadrature_cross_check(r):
 
 
 def test_r_domain_error():
-    with pytest.raises(DomainError):
-        kernel_from_r(0.0)
-    with pytest.raises(DomainError):
-        kernel_from_r(1.5)
+    # twice each: errors are not memoised
+    for r in (0.0, 1.5, 0.0, 1.5):
+        with pytest.raises(DomainError):
+            kernel_from_r(r)
+
+
+def test_kernel_memo_shares_one_immutable_kernel():
+    k = kernel_from_r(0.42)
+    assert kernel_from_r(0.42) is k
+    assert isinstance(k.coeffs, tuple)
+    with pytest.raises(TypeError):
+        k.coeffs[2] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.coeffs = None
+
+
+def _series_by_terms(k, z):
+    """Reference: the Laurent series summed term by term in increasing powers."""
+    p = dp = zt = 0j
+    for m in range(2, len(k.coeffs)):
+        cm = k.coeffs[m]
+        p += cm * z ** (2 * m - 2)
+        dp += (2 * m - 2) * cm * z ** (2 * m - 3)
+        zt -= cm * z ** (2 * m - 1) / (2 * m - 1)
+    return p + z ** -2, dp - 2.0 * z ** -3, zt + 1.0 / z
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.7, 0.99])
+def test_horner_series_matches_term_by_term_sum(r):
+    # _eval_raw only evaluates the series at |w| <= 0.35 r_min
+    k = kernel_from_r(r)
+    rmin = min(2.0 * k.omega, 2.0 * abs(k.omega_p))
+    for frac in (1e-3, 0.05, 0.2, 0.35):
+        for ang in (0.1, 0.9, 2.3):
+            z = frac * rmin * complex(math.cos(ang), math.sin(ang))
+            for got, want in zip(wp_small(k, z), _series_by_terms(k, z)):
+                assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_ode_residual_on_grid():

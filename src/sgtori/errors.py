@@ -25,6 +25,11 @@ class StepCollapseError(SgtoriError):
     """Adaptive step size underflowed; dynamics near-singular."""
 
 
+class StepBudgetError(SgtoriError):
+    """Adaptive integration spent its whole budget of right-hand-side
+    evaluations before reaching the end of its span."""
+
+
 class GridTooSmallError(DomainError):
     """Grid has no interior nodes for the requested stencil."""
 

@@ -31,7 +31,8 @@ from .errors import (ClosingViolationError, DegenerateFrameError,
                      FitResidualError)
 from .genus1 import (Genus1Data, lattice_g1, lift_state, log_mu1, log_mu2,
                      log_mu_pair_near_zero, tau_tilde, y_hat)
-from .laxflows import Genus1State, frame_at, genus1_flow, genus1_interpolant, genus1_period
+from .laxflows import (Genus1State, _drive, _pack_frames, _unpack_potential,
+                       genus1_flow, genus1_interpolant, genus1_period)
 from .modular import tau_hat
 from .potentials import SpectralPoint
 
@@ -47,6 +48,12 @@ def minus_j_conj(v):
 def quaternion_defect(m):
     """Residual of the quaternionic structure j m = conj(m) j."""
     return float(np.max(np.abs(_J @ m - np.conj(m) @ _J)))
+
+
+def _inv2(m):
+    """Inverse of a 2x2 matrix by its adjugate."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
 def quaternion_r4(m):
@@ -170,11 +177,7 @@ def base_potential(cd):
 
 def _psi_matrices(cd, frames):
     """((psi1, psi2), (psi3, psi4)) from frame values at cd.lambdas."""
-    inv = []
-    for idx in range(len(cd.lambdas)):
-        F = frames[idx]
-        det = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-        inv.append(np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]]) / det)
+    inv = [_inv2(frames[idx]) for idx in range(len(cd.lambdas))]
     i1, i2, i3, i4 = cd.psi_index
     psi1 = inv[i1] @ cd.chi[0]
     psi2 = inv[i2] @ cd.chi[1]
@@ -189,8 +192,7 @@ def immersion_at(cd, frames):
     det = m12[0, 0] * m12[1, 1] - m12[0, 1] * m12[1, 0]
     if abs(det) < 1e-10:
         raise DegenerateFrameError(f"|det(psi1, psi2)| = {abs(det):.2e}")
-    inv = np.array([[m12[1, 1], -m12[0, 1]], [-m12[1, 0], m12[0, 0]]]) / det
-    return inv @ m34, m12
+    return _inv2(m12) @ m34, m12
 
 
 @dataclass
@@ -214,9 +216,7 @@ def immersion(cd, x0=0.05, y0=0.05, n=8, h=0.01, tol=1e-11):
     nrm = np.empty((n, n, 2, 2), complex)
     psi = np.empty((n, n, 2, 2), complex)
     gam = np.empty((n, n))
-    from .laxflows import _drive, _pack, _unpack_potential  # reuse the driver
-    eye = np.tile(np.eye(2, dtype=complex).ravel(), lams.size)
-    col = _pack(p0, eye)
+    col = _pack_frames(p0, lams)
     _drive(col, x0, y0, lams, tol, tol * 1e-2, True)
     for j in range(n):
         if j > 0:
@@ -229,10 +229,7 @@ def immersion(cd, x0=0.05, y0=0.05, n=8, h=0.01, tol=1e-11):
             fij, m12 = immersion_at(cd, frames)
             f[j, i] = fij
             psi[j, i] = m12
-            det = m12[0, 0] * m12[1, 1] - m12[0, 1] * m12[1, 0]
-            inv = np.array([[m12[1, 1], -m12[0, 1]],
-                            [-m12[1, 0], m12[0, 0]]]) / det
-            nrm[j, i] = inv @ _I_QUAT @ m12
+            nrm[j, i] = _inv2(m12) @ _I_QUAT @ m12
             gam[j, i] = _unpack_potential(y).gamma
     return ImmersionGrid(x0, y0, h, f, nrm, gam, psi, cd)
 
@@ -255,21 +252,27 @@ def conformality_defect(grid):
 
 
 def periodicity_defect(cd, n_samples=3, tol=1e-11):
-    """max_j max_z |f(z + w_hat_j) - f(z)| / scale over a few base points."""
+    """max_j max_z |f(z + w_hat_j) - f(z)| / scale over a few base points.
+
+    The frame at z + w_hat_j is carried on from the frame at z.
+    """
     p0 = base_potential(cd)
     lams = cd.lambdas
+    nl = lams.size
     wh1, wh2 = cd.w_hat
     worst = 0.0
     rng = np.random.default_rng(11)
     for _ in range(n_samples):
         z = complex(0.2 * rng.random(), 0.2 * rng.random())
-        frames0, _ = frame_at(p0, z.real, z.imag, lams, tol)
-        f0, _ = immersion_at(cd, frames0)
+        st0 = _pack_frames(p0, lams)
+        _drive(st0, z.real, z.imag, lams, tol, tol * 1e-2, True)
+        f0, _ = immersion_at(cd, st0[3:].reshape(nl, 2, 2))
         for wh in (wh1, wh2):
             zt = z + wh
-            frames1, _ = frame_at(p0, zt.real, zt.imag, lams, tol,
-                                  waypoints=[(z.real, z.imag)])
-            f1, _ = immersion_at(cd, frames1)
+            st = st0.copy()
+            _drive(st, zt.real - z.real, zt.imag - z.imag, lams, tol,
+                   tol * 1e-2, True)
+            f1, _ = immersion_at(cd, st[3:].reshape(nl, 2, 2))
             scale = max(1.0, float(np.max(np.abs(f0))))
             worst = max(worst, float(np.max(np.abs(f1 - f0))) / scale)
     return worst
@@ -283,10 +286,7 @@ def hopf_field_check(grid):
         for i in range(grid.f.shape[1]):
             m12 = grid.psi12[j, i]
             g = grid.gamma[j, i]
-            det = m12[0, 0] * m12[1, 1] - m12[0, 1] * m12[1, 0]
-            inv = np.array([[m12[1, 1], -m12[0, 1]],
-                            [-m12[1, 0], m12[0, 0]]]) / det
-            q = inv @ np.array([[0.0, -g], [g, 0.0]], dtype=complex) @ m12
+            q = _inv2(m12) @ np.array([[0.0, -g], [g, 0.0]], dtype=complex) @ m12
             if quaternion_defect(q) > 1e-8 * max(1.0, g):
                 raise AssertionError("Hopf field lost its quaternionic structure")
             norm_sq = abs(q[0, 0]) ** 2 + abs(q[0, 1]) ** 2

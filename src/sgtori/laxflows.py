@@ -34,13 +34,9 @@ from .potentials import Potential, spectral_poly, u_matrix, v_matrix
 
 def lax_vector_fields(p):
     """Tangents ((da, db, dg) along x, (da, db, dg) along y) at a potential."""
-    y = _pack(p, np.empty(0, complex))
-    outx = np.empty_like(y)
-    outy = np.empty_like(y)
-    kernels.rhs(y, 1.0, 0.0, np.empty(0, complex), outx)
-    kernels.rhs(y, 0.0, 1.0, np.empty(0, complex), outy)
-    return ((outx[0], outx[1], outx[2].real),
-            (outy[0], outy[1], outy[2].real))
+    y = [complex(p.alpha), complex(p.beta), float(p.gamma)]
+    return (tuple(kernels.rhs(y, 1.0, 0.0, (), ())),
+            tuple(kernels.rhs(y, 0.0, 1.0, (), ())))
 
 
 def bracket_matrices(p, lam):
@@ -60,6 +56,11 @@ def _pack(p, frames):
     if frames.size:
         y[3:] = frames
     return y
+
+
+def _pack_frames(p0, lams):
+    """State of p0 with identity frames at each of the spectral samples."""
+    return _pack(p0, np.tile(np.eye(2, dtype=complex).ravel(), lams.size))
 
 
 def _unpack_potential(y):
@@ -215,8 +216,7 @@ def integrate_frame(p0, grid, lambda_samples=None, tol=1e-10):
     lams = (default_lambda_samples() if lambda_samples is None
             else np.asarray(lambda_samples, complex))
     nl = lams.size
-    eye = np.tile(np.eye(2, dtype=complex).ravel(), nl)
-    y = _pack(p0, eye)
+    y = _pack_frames(p0, lams)
     _drive(y, x0, y0, lams, tol, tol * 1e-2, True)
     frames = np.empty((ny, nx, nl, 2, 2), complex)
     states = [[None] * nx for _ in range(ny)]
@@ -233,16 +233,12 @@ def integrate_frame(p0, grid, lambda_samples=None, tol=1e-10):
     return FrameGrid(x0, y0, hx, hy, lams, frames, states)
 
 
-def frame_at(p0, x, y, lambda_samples, tol=1e-10, waypoints=None):
-    """(F(x, y; lambda_k), flowed potential) along a straight segment or a
-    waypoint path from the origin."""
+def frame_at(p0, x, y, lambda_samples, tol=1e-10):
+    """(F(x, y; lambda_k), flowed potential) along the straight segment from
+    the origin."""
     lams = np.asarray(lambda_samples, complex)
-    eye = np.tile(np.eye(2, dtype=complex).ravel(), lams.size)
-    st = _pack(p0, eye)
-    cx = cy = 0.0
-    for (tx, ty) in (waypoints or []) + [(x, y)]:
-        _drive(st, tx - cx, ty - cy, lams, tol, tol * 1e-2, True)
-        cx, cy = tx, ty
+    st = _pack_frames(p0, lams)
+    _drive(st, x, y, lams, tol, tol * 1e-2, True)
     return st[3:].reshape(lams.size, 2, 2), _unpack_potential(st)
 
 
@@ -326,20 +322,51 @@ def genus1_flow(s0, y_span, tol=1e-10, max_step=0.02):
     raise StepCollapseError("dense record overflow")
 
 
+# The periods seen (0.26 to 1.5708) lie below pi/2, their small-amplitude
+# limit, so the orbit is first scanned over a span just past it.  The span
+# grows 4x at a time, up to _PERIOD_SPAN_MAX, only if two zero crossings of
+# alpha_hat are not found.
+_PERIOD_SPAN = 1.6
+_PERIOD_SPAN_MAX = 50.0
+_PERIOD_MAX_STEP = 0.01
+
+
 def genus1_period(s0, tol=1e-12):
     """Period of the closed reduced-flow orbit through s0.
 
     Detected from the two zero crossings of alpha_hat (the turning points of
-    beta_hat), refined by bisection on the interpolated record.
+    beta_hat), refined by bisection on short re-integrations from the
+    record before each crossing.
     """
     if abs(s0.alpha_hat) < 1e-14 and abs(s0.beta_hat - 1.0) < 1e-14:
         raise ValueError("stationary state has no period")
-    # crude bound: integrate far enough to see two sign changes of alpha
-    orbit = genus1_flow(s0, 50.0, tol=tol, max_step=0.01)
+    span = _PERIOD_SPAN
+    while True:
+        orbit = genus1_flow(s0, span, tol=tol, max_step=_PERIOD_MAX_STEP)
+        crossings = _alpha_crossings(orbit, span, tol)
+        if len(crossings) == 2:
+            # consecutive zero crossings of alpha_hat are half a period apart
+            return 2.0 * (crossings[1] - crossings[0])
+        if span >= _PERIOD_SPAN_MAX:
+            raise StepCollapseError("period not detected within the search span")
+        span = min(4.0 * span, _PERIOD_SPAN_MAX)
+
+
+def _alpha_crossings(orbit, span, tol):
+    """Up to two zero crossings of alpha_hat on the record, bisected.
+
+    Below _PERIOD_SPAN_MAX a bracket is used only if no step up to its end
+    can have been shortened to stop on `span`: the records up to there, and
+    so the crossings, are then bit for bit those of the _PERIOD_SPAN_MAX
+    record.
+    """
     a = orbit.alpha
     t = orbit.y
+    last_free = span - 2.0 * _PERIOD_MAX_STEP
     crossings = []
     for i in range(1, len(a)):
+        if span < _PERIOD_SPAN_MAX and not t[i - 1] <= last_free:
+            break
         if a[i - 1] == 0.0:
             continue
         if (a[i - 1] < 0) != (a[i] < 0):
@@ -356,10 +383,7 @@ def genus1_period(s0, tol=1e-12):
             crossings.append(t[i - 1] + 0.5 * (lo + hi))
             if len(crossings) == 2:
                 break
-    if len(crossings) < 2:
-        raise StepCollapseError("period not detected within the search span")
-    # consecutive zero crossings of alpha_hat are half a period apart
-    return 2.0 * (crossings[1] - crossings[0])
+    return crossings
 
 
 def genus1_interpolant(orbit):

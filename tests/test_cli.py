@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -153,6 +156,53 @@ def test_figure3_stdout_identical_with_cold_and_warm_kernel_memo(capsys):
     assert code_a == code_b == 0
     assert out_a.count("\n") == 2 + 3 * 5
     assert out_a.encode() == out_b.encode()
+
+
+FIGURE4_R07_R1_T3 = """\
+# config: {"command": "figure4", "format": "json", "jobs": 1, "r_list": "0.7,1.0", "t_steps": 3, "tol": 1e-08}
+r,t,re_tau_hat,im_tau_hat,willmore
+0.69999999999999996,-0.92653103379238799,-0.15641615823110755,5.9787809056610071,61.133081354857396
+0.69999999999999996,0,0.0078934682496804107,0.99996884609421266,19.893189236590338
+0.69999999999999996,0.92653103379238777,0.15641615823110908,5.9787809056610026,61.133081354857275
+1,-1,-8.2035002112797456e-16,7.3890560989306495,74.262766300956827
+1,0,-2.2204460492503131e-16,1,19.73920880217872
+1,1,8.2035002112797456e-16,7.3890560989306495,74.262766300956827
+"""
+
+WILLMORE_R07_T03 = (
+    '{"config": {"command": "willmore", "format": "json", "grid": 192, '
+    '"jobs": 1, "r": 0.7, "t": 0.3, "tol": 1e-08}, "result": '
+    '{"direct": 23.566966749091996, "explicit": 23.566966749093385, '
+    '"rel_direct_vs_explicit": 5.894314118572067e-14, '
+    '"rel_explicit_vs_residue": 2.2204077259299188e-11, '
+    '"residue": 23.566966749616668}}\n')
+
+
+def test_figure4_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "figure4", "--r-list", "0.7,1.0",
+                       "--t-steps", "3")
+    assert code == 0
+    assert out == FIGURE4_R07_R1_T3
+
+
+def test_willmore_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "willmore", "--r", "0.7", "--t", "0.3")
+    assert code == 0
+    assert out == WILLMORE_R07_T03
+
+
+def test_flow_step_budget_exits_3():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgtori.cli", "flow", "--gamma", "2",
+         "--to", "1e6", "0"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_immersion_export(tmp_path, capsys):

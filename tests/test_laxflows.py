@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sgtori import laxflows
 from sgtori.errors import GridTooSmallError
 from sgtori.genus1 import Genus1Data, lattice_g1, lift_genus1_potential, lift_state
 from sgtori.laxflows import (Genus1State, bracket_matrices, frame_at,
@@ -195,6 +196,32 @@ class TestGenus1Flow:
         back = genus1_flow(s, period, tol=1e-12).final
         assert abs(back.alpha_hat - s.alpha_hat) < 1e-6
         assert abs(back.beta_hat - s.beta_hat) < 1e-6
+
+    @pytest.mark.parametrize("s0, ref", [
+        (Genus1State(0.0, 1.0 / math.sqrt(0.001)), 0.2622809365566791),
+        (Genus1State(0.0, 1.0 / math.sqrt(0.5)), 1.5248868380817076),
+        (Genus1State(0.0, 1.0 / math.sqrt(0.999)), 1.5707962285213717),
+        (Genus1State(3.0, 1.0), 1.1450002182027852),
+    ])
+    def test_period_pinned(self, s0, ref):
+        # values of the 50-long scan the period search used to run
+        assert abs(genus1_period(s0) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("first_span", [0.3, 0.765])
+    def test_period_bit_identical_when_the_span_grows(self, monkeypatch,
+                                                      first_span):
+        # r = 0.5 crosses zero at 0.762 and 1.525: 0.3 grows twice, and 0.765
+        # ends just past the first crossing, whose bracket must wait
+        monkeypatch.setattr(laxflows, "_PERIOD_SPAN", first_span)
+        period = genus1_period(Genus1State(0.0, 1.0 / math.sqrt(0.5)))
+        assert period == 1.5248868380817076
+
+    @pytest.mark.parametrize("r", [0.99, 0.999])
+    def test_period_small_amplitude_limit(self, r):
+        # the orbit through (0, 1/sqrt(r)) shrinks to the fixed point
+        # (0, 1) as r -> 1, where the linearised period is pi/2
+        period = genus1_period(Genus1State(0.0, 1.0 / math.sqrt(r)))
+        assert abs(period - 0.5 * math.pi) <= 0.2 * (1.0 - r) ** 2
 
     def test_interpolant_matches_flow(self):
         s = Genus1State(0.0, 1.6)

@@ -7,6 +7,7 @@ codes: 0 ok, 2 domain error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -30,7 +31,11 @@ def _c(z):
 
 def _emit(config, result, out=None):
     doc = {"config": config, "result": result}
-    text = json.dumps(doc, sort_keys=True)
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise errors.ConsistencyError("result holds a non-finite value") \
+            from None
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -176,6 +181,20 @@ def _config(args, name):
     return cfg
 
 
+def finite_float(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return n
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="sgtori",
@@ -184,20 +203,20 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=finite_float, default=1e-8)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--jobs", type=int, default=1)
 
     def add_potential(p):
-        p.add_argument("--alpha", type=float, nargs=2, default=(0.0, 0.0),
+        p.add_argument("--alpha", type=finite_float, nargs=2,
+                       default=(0.0, 0.0), metavar=("RE", "IM"))
+        p.add_argument("--beta", type=finite_float, nargs=2,
+                       default=(0.0, 0.0), metavar=("RE", "IM"))
+        p.add_argument("--gamma", type=finite_float, default=1.0)
+        p.add_argument("--a1", type=finite_float, nargs=2, default=None,
                        metavar=("RE", "IM"))
-        p.add_argument("--beta", type=float, nargs=2, default=(0.0, 0.0),
-                       metavar=("RE", "IM"))
-        p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--a1", type=float, nargs=2, default=None,
-                       metavar=("RE", "IM"))
-        p.add_argument("--a2", type=float, default=None)
+        p.add_argument("--a2", type=finite_float, default=None)
 
     p = sub.add_parser("classify", help="spectral quartic and stratum")
     add_common(p)
@@ -207,7 +226,7 @@ def build_parser():
     p = sub.add_parser("flow", help="integrate the commuting flows")
     add_common(p)
     add_potential(p)
-    p.add_argument("--to", type=float, nargs=2, required=True,
+    p.add_argument("--to", type=finite_float, nargs=2, required=True,
                    metavar=("X", "Y"))
     p.set_defaults(fn=cmd_flow, tol=1e-10)
 
@@ -219,37 +238,37 @@ def build_parser():
     p = sub.add_parser("tau", help="conformal classes tau-tilde and tau-hat")
     add_common(p)
     add_potential(p)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=None)
+    p.add_argument("--r", type=finite_float, default=None)
+    p.add_argument("--t", type=finite_float, default=0.0)
+    p.add_argument("--phi", type=finite_float, default=None)
     p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("willmore", help="Willmore energy by three routes")
     add_common(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--grid", type=int, default=192)
+    p.add_argument("--r", type=finite_float, required=True)
+    p.add_argument("--t", type=finite_float, default=0.0)
+    p.add_argument("--phi", type=finite_float, default=None)
+    p.add_argument("--grid", type=positive_int, default=192)
     p.set_defaults(fn=cmd_willmore)
 
     p = sub.add_parser("figure3", help="tau-tilde sweep CSV")
     add_common(p)
     p.add_argument("--r-list", dest="r_list", required=True)
-    p.add_argument("--t-steps", dest="t_steps", type=int, default=64)
+    p.add_argument("--t-steps", dest="t_steps", type=positive_int, default=64)
     p.set_defaults(fn=cmd_figure3)
 
     p = sub.add_parser("figure4", help="Willmore-vs-conformal-class sweep CSV")
     add_common(p)
     p.add_argument("--r-list", dest="r_list", required=True)
-    p.add_argument("--t-steps", dest="t_steps", type=int, default=64)
+    p.add_argument("--t-steps", dest="t_steps", type=positive_int, default=64)
     p.set_defaults(fn=cmd_figure4)
 
     p = sub.add_parser("immersion-export", help="OBJ mesh of the immersion")
     add_common(p)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--grid", type=int, default=24)
-    p.add_argument("--h", type=float, default=0.05)
+    p.add_argument("--r", type=finite_float, required=True)
+    p.add_argument("--t", type=finite_float, default=0.0)
+    p.add_argument("--grid", type=positive_int, default=24)
+    p.add_argument("--h", type=finite_float, default=0.05)
     p.set_defaults(fn=cmd_immersion_export, tol=1e-10)
 
     return ap

@@ -9,6 +9,11 @@ class DomainError(SgtoriError):
     """Input outside the admissible parameter domain."""
 
 
+class ConsistencyError(SgtoriError):
+    """A computed result fails an internal consistency check (two formulas
+    that must agree do not, or a value that must be real is not)."""
+
+
 class MembershipError(DomainError):
     """Quartic fails the unit-circle positivity required of admissible spectra."""
 

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weierstrass as ws
-from .errors import ClassError, DomainError, IllConditionedError, PoleError
+from .errors import (ClassError, ConsistencyError, DomainError,
+                     IllConditionedError, PoleError)
 from .laxflows import genus1_flow
 from .potentials import Potential, SpectralClass, SpectralQuartic, classify
 
@@ -86,14 +87,14 @@ class Genus1Data:
         lhp = k.e3 - p
         nhp = 0.5 * dp
         if abs(abs(lhp) - 1.0) > 1e-10:
-            raise AssertionError("z_+ left the unit-circle component")
+            raise ConsistencyError("z_+ left the unit-circle component")
         if abs(nhp ** 2 + lhp * (lhp + r) * (lhp + 1.0 / r)) > 1e-10 * max(
                 1.0, abs(nhp) ** 2):
-            raise AssertionError("curve equation violated at z_+")
+            raise ConsistencyError("curve equation violated at z_+")
         zt_m = ws.wzeta(k, zp - k.omega_p)
         c = (k.omega_p * (ztp + zt_m + k.eta_p) - 2.0 * k.eta_p * zp) / (1j * _PI)
         if abs(c.imag) > 1e-8 * max(1.0, abs(c)):
-            raise AssertionError(f"C should be real, got {c}")
+            raise ConsistencyError(f"C should be real, got {c}")
         # phi anchored continuously with phi(t=0) = pi/4
         phi = 0.25 * _PI + 0.25 * cmath.phase(lhp)
         return cls(r, float(t), phi, zp, lhp, nhp, k, ztp, c.real)
@@ -242,9 +243,9 @@ def tau_tilde(d):
     re = -d.c
     im_val = k.omega_p * d.nu_hat_plus / (_PI * d.lambda_hat_plus)
     if abs(im_val.imag) > 1e-8 * max(1.0, abs(im_val)):
-        raise AssertionError("Im tau formula returned a non-real value")
+        raise ConsistencyError("Im tau formula returned a non-real value")
     if abs(val - complex(re, im_val.real)) > 1e-9 * max(1.0, abs(val)):
-        raise AssertionError("split tau formulas disagree with the main one")
+        raise ConsistencyError("split tau formulas disagree with the main one")
     return val
 
 
@@ -293,7 +294,7 @@ def jacobian_T(d):
     det_formula = (4.0 * ((wp_ * k.e3 + ep) ** 2 - wp_ ** 2)
                    / (_PI ** 2 * (1.0 - k.r ** 2)))
     if abs(det_formula.imag) > 1e-10 * max(1.0, abs(det_formula)):
-        raise AssertionError("determinant formula returned a non-real value")
+        raise ConsistencyError("determinant formula returned a non-real value")
     return j, det_formula.real
 
 

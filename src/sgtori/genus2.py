@@ -25,8 +25,17 @@ admissible integrands are real, the B-integrals purely imaginary).
 
 Quadrature: per-piece Gauss-Legendre panels, subdivided geometrically so the
 panel length stays below half the distance to the nearest branch point, with
-the square root tracked by nearest-value continuation along the ordered nodes
-and a full panel-doubling self-convergence pass.
+a full panel-doubling self-convergence pass.  The square root is tracked by
+nearest-value continuation along the ordered nodes, computed in one pass as a
+parity rule: the principal root r_i changes sign against its predecessor
+exactly where |r_i - r_{i-1}| > |r_i + r_{i-1}|, so the branch carries the
+sign (-1)^(number of such flips so far).
+
+Every integrand is b(lam)/(2 nu lam) with b cubic, so every A- and B-integral
+is a linear combination of the sixteen moments of lam^k/(2 nu lam) dlam,
+k = 0..3, over A1, A2, B1, B2.  `period_table` computes them with one
+quadrature per cycle; the solve for b_w, the B-period map, the residual
+checks and the monodromy signs are linear algebra on that table.
 """
 
 import cmath
@@ -55,12 +64,7 @@ class HyperCurve:
         if q.cls is not SpectralClass.M21:
             raise ClassError("period-lattice numerics require four simple "
                              "roots off the unit circle")
-        inside = sorted((r for r, _ in q.roots if abs(r) < 1.0),
-                        key=lambda z: (abs(z), z.real, z.imag))
-        if len(inside) != 2:
-            raise ClassError("expected two roots inside the unit disc")
-        partners = tuple(1.0 / np.conj(r) for r in inside)
-        return cls(q, tuple(inside), partners)
+        return cls._with_roots(q, [r for r, _ in q.roots])
 
     @classmethod
     def from_roots(cls, roots):
@@ -74,6 +78,11 @@ class HyperCurve:
         q = type(q0)(q0.a1, q0.a2,
                      roots=tuple((r, 1) for r in roots),
                      cls=SpectralClass.M21)
+        return cls._with_roots(q, roots)
+
+    @classmethod
+    def _with_roots(cls, q, roots):
+        """alpha: the two roots inside the unit disc, by modulus."""
         inside = sorted((r for r in roots if abs(r) < 1.0),
                         key=lambda z: (abs(z), z.real, z.imag))
         if len(inside) != 2:
@@ -351,15 +360,21 @@ def _contour_nodes(curve, contour, base_panels):
 
 
 def _track_nu(curve, lam, start=None):
-    """Continuous branch of nu along the ordered samples."""
-    nu2 = curve.nu_sq(lam)
-    nu = np.sqrt(nu2)
-    if start is not None and abs(nu[0] - start) > abs(nu[0] + start):
-        nu[0] = -nu[0]
-    for i in range(1, len(nu)):
-        if abs(nu[i] - nu[i - 1]) > abs(nu[i] + nu[i - 1]):
-            nu[i] = -nu[i]
-    return nu
+    """Continuous branch of nu along the ordered samples, matched to `start`
+    at the first sample when given.
+
+    Sequential nearest-value continuation in one pass: sample i flips the
+    sign of the principal root against sample i - 1 exactly where
+    |r_i - r_{i-1}| > |r_i + r_{i-1}| on the principal roots r (r_{-1} =
+    start), so the sign is (-1)^(flips so far).  Only a tie, a jump of a
+    right angle, could be resolved differently.
+    """
+    nu = np.sqrt(curve.nu_sq(lam))
+    prev = np.empty_like(nu)
+    prev[1:] = nu[:-1]
+    prev[0] = nu[0] if start is None else start
+    flip = np.abs(nu - prev) > np.abs(nu + prev)
+    return np.where(np.cumsum(flip) % 2 == 1, -nu, nu)
 
 
 def nu_on_contour(curve, contour, n=2048):
@@ -377,7 +392,7 @@ def nu_on_contour(curve, contour, n=2048):
     lam = np.concatenate([p.point(s) for p in contour.pieces])
     nu = _track_nu(curve, lam)
     total_winding = sum(abs(contour.winding(b)) for b in curve.branch_points)
-    back = _continue_one(curve, lam[-1], lam[0], nu[-1])
+    back = _track_nu(curve, lam[:1], start=nu[-1])[0]
     rel = abs(nu[0] - back) / max(abs(nu[0]), 1e-300)
     flipped = rel > 1.0
     expect_flip = total_winding % 2 == 1
@@ -388,13 +403,6 @@ def nu_on_contour(curve, contour, n=2048):
     if not flipped and rel > 1e-6:
         raise BranchCollisionError(f"sheet closure defect {rel:.2e}")
     return lam, nu, flipped
-
-
-def _continue_one(curve, lam_from, lam_to, nu_from):
-    nu = np.sqrt(curve.nu_sq(np.array([lam_to])))[0]
-    if abs(nu - nu_from) > abs(nu + nu_from):
-        nu = -nu
-    return nu
 
 
 def contour_integrals(curve, contour, funcs, conv_tol=1e-8, base_panels=4,
@@ -426,7 +434,7 @@ def contour_integrals(curve, contour, funcs, conv_tol=1e-8, base_panels=4,
     return prev, change
 
 
-# --- the b_w linear system and the period lattice ---------------------------
+# --- the moment table, the b_w linear system and the period lattice -------
 
 
 @dataclass
@@ -450,39 +458,39 @@ class BOmega:
         return c[0] + c[1] * lam + c[2] * lam ** 2 + c[3] * lam ** 3
 
 
-_BASIS = (lambda lam: lam - lam ** 2,
-          lambda lam: 1j * (lam + lam ** 2))
+_POWERS = tuple((lambda lam, k=k: lam ** k) for k in range(4))
 
 
-def _a_integral_rows(curve, cycles, conv_tol, strict=True, min_clearance=1e-6):
-    rows = []
-    for cyc in (cycles.a1, cycles.a2):
-        vals, _ = contour_integrals(
-            curve, cyc,
-            [_BASIS[0], _BASIS[1], lambda lam: np.ones_like(lam),
-             lambda lam: lam ** 3],
-            conv_tol=conv_tol, strict=strict, min_clearance=min_clearance)
-        rows.append(vals)
-    return rows
+def _moments(curve, contours, conv_tol, strict, min_clearance):
+    """One row per contour: integrals of lam^k/(2 nu lam) dlam, k = 0..3."""
+    return np.array([
+        contour_integrals(curve, c, _POWERS, conv_tol=conv_tol, strict=strict,
+                          min_clearance=min_clearance)[0]
+        for c in contours])
 
 
-def solve_b_omega(curve, cycles, omega, conv_tol=1e-9, strict=True,
-                  min_clearance=1e-6, _rows=None):
-    """The unique admissible cubic whose A-cycle integrals vanish.
+def period_table(curve, cycles, conv_tol=1e-9, strict=True,
+                 min_clearance=1e-6):
+    """4x4 moment table: rows A1, A2, B1, B2, columns lam^0..lam^3.
 
-    The two basis integrals and the inhomogeneity are real (imaginary parts
-    are checked and discarded); beta1, beta2 solve the resulting real 2x2
-    system.
+    The integral of b(lam)/(2 nu lam) dlam over a cycle is its row
+    @ b.coeffs().  One quadrature per cycle; its panel-doubling pass
+    judges the four moments of that cycle together.
     """
-    rows = _rows if _rows is not None else _a_integral_rows(
-        curve, cycles, conv_tol, strict, min_clearance)
+    return _moments(curve, (cycles.a1, cycles.a2, cycles.b1, cycles.b2),
+                    conv_tol, strict, min_clearance)
+
+
+def _solve_b(a_rows, omega, strict=True):
+    """b_w from the A1, A2 rows of the moment table (see solve_b_omega)."""
     omega = complex(omega)
     amat = np.empty((2, 2))
     rhs = np.empty(2)
     scale = 0.0
-    for i, vals in enumerate(rows):
-        p1, p2, c0, c3 = vals
-        inhom = omega * c0 - np.conj(omega) * c3
+    for i, m in enumerate(a_rows):
+        p1 = m[1] - m[2]            # integral of lam - lam^2
+        p2 = 1j * (m[1] + m[2])     # integral of i (lam + lam^2)
+        inhom = omega * m[0] - np.conj(omega) * m[3]
         for v in (p1, p2, inhom):
             scale = max(scale, abs(v))
         amat[i, 0] = p1.real
@@ -497,15 +505,39 @@ def solve_b_omega(curve, cycles, omega, conv_tol=1e-9, strict=True,
         raise SingularSystemError(f"A-integral matrix condition {cond:.2e}")
     beta = np.linalg.solve(amat, rhs)
     b = BOmega(omega, beta[0], beta[1], 0.0, cond)
-    resid, _ = contour_integrals(curve, cycles.a1, [b], conv_tol=conv_tol,
-                                 strict=strict, min_clearance=min_clearance)
-    resid2, _ = contour_integrals(curve, cycles.a2, [b], conv_tol=conv_tol,
-                                  strict=strict, min_clearance=min_clearance)
-    b.a_residual = max(abs(resid[0]), abs(resid2[0]))
+    b.a_residual = float(np.max(np.abs(a_rows @ b.coeffs())))
     if strict and b.a_residual > 1e-9 * max(1.0, abs(omega)):
         raise PathIntegrationError(
             f"A-integral residual {b.a_residual:.2e} after solve")
     return b
+
+
+def solve_b_omega(curve, cycles, omega, conv_tol=1e-9, strict=True,
+                  min_clearance=1e-6):
+    """The unique admissible cubic whose A-cycle integrals vanish.
+
+    The two basis integrals and the inhomogeneity are real (imaginary parts
+    are checked and discarded); beta1, beta2 solve the resulting real 2x2
+    system.
+    """
+    a_rows = _moments(curve, (cycles.a1, cycles.a2), conv_tol, strict,
+                      min_clearance)
+    return _solve_b(a_rows, omega, strict)
+
+
+def _period_map(table, strict):
+    """B-period map and its two b_w from the moment table."""
+    mat = np.empty((2, 2))
+    bs = []
+    for k, w in enumerate((1.0, 1j)):
+        b = _solve_b(table[:2], w, strict)
+        bs.append(b)
+        for j, v in enumerate(table[2:] @ b.coeffs()):
+            if strict and abs(v.real) > 1e-8 * max(1.0, abs(v)):
+                raise PathIntegrationError(
+                    f"B-period not purely imaginary: {v}")
+            mat[j, k] = v.imag
+    return mat, bs
 
 
 def b_period_map(curve, cycles, conv_tol=1e-9, strict=True, min_clearance=1e-6):
@@ -513,23 +545,8 @@ def b_period_map(curve, cycles, conv_tol=1e-9, strict=True, min_clearance=1e-6):
 
     All B-integrals must be purely imaginary (relative check 1e-8).
     """
-    rows = _a_integral_rows(curve, cycles, conv_tol, strict, min_clearance)
-    mat = np.empty((2, 2))
-    bs = []
-    for k, w in enumerate((1.0, 1j)):
-        b = solve_b_omega(curve, cycles, w, conv_tol, strict, min_clearance,
-                          _rows=rows)
-        bs.append(b)
-        for j, cyc in enumerate((cycles.b1, cycles.b2)):
-            val, _ = contour_integrals(curve, cyc, [b], conv_tol=conv_tol,
-                                       strict=strict,
-                                       min_clearance=min_clearance)
-            v = val[0]
-            if strict and abs(v.real) > 1e-8 * max(1.0, abs(v)):
-                raise PathIntegrationError(
-                    f"B-period not purely imaginary: {v}")
-            mat[j, k] = v.imag
-    return mat, bs
+    return _period_map(period_table(curve, cycles, conv_tol, strict,
+                                    min_clearance), strict)
 
 
 @dataclass
@@ -539,6 +556,7 @@ class PeriodLatticeG2:
     bperiod_matrix: np.ndarray
     bperiod_residual: float
     condition: float
+    moments: np.ndarray   # the period_table the generators come from
 
     def to_json_dict(self):
         return {
@@ -555,42 +573,41 @@ def period_lattice(curve, cycles=None, conv_tol=1e-9, strict=True,
     B-period map."""
     if cycles is None:
         cycles = build_cycles(curve)
-    mat, _ = b_period_map(curve, cycles, conv_tol, strict, min_clearance)
+    table = period_table(curve, cycles, conv_tol, strict, min_clearance)
+    mat, _ = _period_map(table, strict)
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     if abs(det) < 1e-12:
         raise SingularSystemError("B-period map numerically singular")
     inv = np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
-    g = []
-    for target in ((2.0 * math.pi, 0.0), (0.0, 2.0 * math.pi)):
-        v = inv @ np.array(target)
-        g.append(complex(v[0], v[1]))
+    targets = 2.0 * math.pi * np.eye(2)
+    g = [complex(*(inv @ target)) for target in targets]
     resid = 0.0
-    for w, target in zip(g, ((2.0 * math.pi, 0.0), (0.0, 2.0 * math.pi))):
-        b = solve_b_omega(curve, cycles, w, conv_tol, strict, min_clearance)
-        for j, cyc in enumerate((cycles.b1, cycles.b2)):
-            val, _ = contour_integrals(curve, cyc, [b], conv_tol=conv_tol,
-                                       strict=strict,
-                                       min_clearance=min_clearance)
-            resid = max(resid, abs(val[0] - 1j * target[j]))
+    for w, target in zip(g, targets):
+        b = _solve_b(table[:2], w, strict)
+        val = table[2:] @ b.coeffs()
+        resid = max(resid, float(np.max(np.abs(val - 1j * target))))
     if strict and resid > 1e-7 * max(1.0, abs(g[0]), abs(g[1])):
         raise PathIntegrationError(f"B-period residual {resid:.2e}")
-    return PeriodLatticeG2(g[0], g[1], mat, resid, float(np.linalg.cond(mat)))
+    return PeriodLatticeG2(g[0], g[1], mat, resid, float(np.linalg.cond(mat)),
+                           table)
 
 
 # --- monodromy signs at the roots -------------------------------------------
 
 
+def _panels(z0, z1, n):
+    """n equal Gauss-Legendre panels on [z0, z1]: the start points (n, 1),
+    the nodes (n, 12), the end points (n, 1) and the half-lengths (n, 1)."""
+    ends = z0 + (z1 - z0) * np.arange(n + 1) / n
+    a, b = ends[:-1, None], ends[1:, None]
+    half = 0.5 * (b - a)
+    return a, 0.5 * (a + b) + half * _GX, b, half
+
+
 def _segment_quad(f, z0, z1, n_panels=8):
     """Gauss-Legendre integral of f over [z0, z1] (complex line integral)."""
-    total = 0.0 + 0j
-    for k in range(n_panels):
-        a = z0 + (z1 - z0) * k / n_panels
-        b = z0 + (z1 - z0) * (k + 1) / n_panels
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        z = mid + half * _GX
-        total += np.sum(_GW * f(z)) * half
-    return total
+    _, z, _, half = _panels(z0, z1, n_panels)
+    return np.sum(_GW * f(z) * half)
 
 
 def _avoiding_path(z0, z1, obstacles, clearance):
@@ -634,8 +651,7 @@ def mu_at_roots(curve, lattice, omega, tol=1e-4):
                for m in range(-6, 7) for n in range(-6, 7))
     if near > 1e-6 * max(1.0, abs(omega)):
         raise PathIntegrationError("omega is not a lattice vector")
-    cycles = build_cycles(curve)
-    b = solve_b_omega(curve, cycles, omega)
+    b = _solve_b(lattice.moments[:2], omega)
     roots = curve.roots
     sep = min(min(abs(r - s) for s in roots if s is not r) for r in roots)
     rho = min(0.1 * sep, 0.05)
@@ -659,18 +675,13 @@ def mu_at_roots(curve, lattice, omega, tol=1e-4):
     lam0 = 0.04 * best_dir
     w0 = cmath.sqrt(lam0)
 
-    bc = b.coeffs()
-
-    def b_val(lam):
-        return bc[0] + bc[1] * lam + bc[2] * lam ** 2 + bc[3] * lam ** 3
-
     def dh(wv):
         lam = wv * wv
         av = a_val(lam)
         s = np.sqrt(av)
         # branch: continuous from s(0) = 1; safe while Re stays positive
         s = np.where(s.real < 0, -s, s)
-        br = b_val(lam) + omega * (a_der(lam) * lam - av)
+        br = b(lam) + omega * (a_der(lam) * lam - av)
         return -1j * br / (s * wv * wv)
 
     results = []
@@ -686,46 +697,28 @@ def mu_at_roots(curve, lattice, omega, tol=1e-4):
         obstacles = [r for r in roots if r is not root] + [0.0]
         wp = _avoiding_path(lam0, approach, obstacles, min(0.3 * abs(root), 0.4 * sep))
         for z0, z1 in zip(wp, wp[1:]):
-            npan = max(8, int(8 * abs(z1 - z0) / rho))
-            npan = min(npan, 400)
-            for k in range(npan):
-                a = z0 + (z1 - z0) * k / npan
-                bseg = z0 + (z1 - z0) * (k + 1) / npan
-                mid = 0.5 * (a + bseg)
-                half = 0.5 * (bseg - a)
-                z = mid + half * _GX
-                order = np.argsort(_GX)
-                z_ord = z[order]
-                nu = _track_nu(curve, np.concatenate([[a], z_ord, [bseg]]),
-                               start=nu_here)
-                nu_nodes = np.empty_like(z)
-                nu_nodes[order] = nu[1:-1]
-                ln_mu += np.sum(_GW * b_val(z) / (2.0 * nu_nodes * z) * half)
-                nu_here = nu[-1]
-        # final leg in the u = sqrt(lam - root) coordinate
+            npan = min(max(8, int(8 * abs(z1 - z0) / rho)), 400)
+            # the leg as (npan, 14) panels [a, 12 Gauss nodes, b], tracked
+            # in one pass (panel k ends where panel k + 1 starts)
+            a, z, bseg, half = _panels(z0, z1, npan)
+            nu = _track_nu(curve, np.hstack([a, z, bseg]).ravel(),
+                           start=nu_here)
+            nu_nodes = nu.reshape(npan, _GAUSS_N + 2)[:, 1:-1]
+            ln_mu += np.sum(_GW * b(z) / (2.0 * nu_nodes * z) * half)
+            nu_here = nu[-1]
+        # final leg in the u = sqrt(lam - root) coordinate, t = nu / u
+        # matched panel to panel
         rest_roots = [r for r in roots if r is not root]
-
-        def t_branch(u, match=None):
-            lam = root + u * u
-            rest = -lam * np.prod([lam - r for r in rest_roots], axis=0)
-            tv = np.sqrt(rest)
-            if match is not None:
-                if abs(tv.flat[0] - match) > abs(tv.flat[0] + match):
-                    tv = -tv
-            return tv
-
         u1 = cmath.sqrt(approach - root)
         t_match = nu_here / u1
-        for k in range(24):
-            a_u = u1 * (1.0 - k / 24)
-            b_u = u1 * (1.0 - (k + 1) / 24)
-            mid = 0.5 * (a_u + b_u)
-            half = 0.5 * (b_u - a_u)
-            u = mid + half * _GX
-            tv = t_branch(u, match=t_match)
-            lam = root + u * u
-            ln_mu += np.sum(_GW * b_val(lam) / (tv * lam) * half)
-            t_match = tv[np.argmax(np.abs(u - a_u))]
+        _, u, _, half = _panels(u1, 0.0, 24)
+        for u_k, half_k in zip(u, half):
+            lam = root + u_k * u_k
+            tv = np.sqrt(-lam * np.prod([lam - r for r in rest_roots], axis=0))
+            if abs(tv[0] - t_match) > abs(tv[0] + t_match):
+                tv = -tv
+            ln_mu += np.sum(_GW * b(lam) / (tv * lam) * half_k)
+            t_match = tv[-1]
         k_img = ln_mu.imag / math.pi
         k_round = round(k_img)
         dev = abs(ln_mu - 1j * math.pi * k_round)

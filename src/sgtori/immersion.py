@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weierstrass as ws
-from .errors import (ClosingViolationError, DegenerateFrameError,
-                     FitResidualError)
+from .errors import (ClosingViolationError, ConsistencyError,
+                     DegenerateFrameError, FitResidualError)
 from .genus1 import (Genus1Data, lattice_g1, lift_state, log_mu1, log_mu2,
                      log_mu_pair_near_zero, tau_tilde, y_hat)
 from .laxflows import (Genus1State, _drive, _pack_frames, _unpack_potential,
@@ -288,7 +288,8 @@ def hopf_field_check(grid):
             g = grid.gamma[j, i]
             q = _inv2(m12) @ np.array([[0.0, -g], [g, 0.0]], dtype=complex) @ m12
             if quaternion_defect(q) > 1e-8 * max(1.0, g):
-                raise AssertionError("Hopf field lost its quaternionic structure")
+                raise ConsistencyError(
+                    "Hopf field lost its quaternionic structure")
             norm_sq = abs(q[0, 0]) ** 2 + abs(q[0, 1]) ** 2
             worst = max(worst, abs(4.0 * norm_sq - 4.0 * g * g))
     return worst
@@ -303,9 +304,9 @@ def willmore_explicit_g1(d):
     val = 8.0 * math.pi * (k.omega_p * k.e3 + k.eta_p) * (
         d.lambda_hat_plus / d.nu_hat_plus)
     if abs(val.imag) > 1e-9 * abs(val):
-        raise AssertionError(f"Willmore closed form not real: {val}")
+        raise ConsistencyError(f"Willmore closed form not real: {val}")
     if val.real <= 0.0:
-        raise AssertionError(f"Willmore closed form not positive: {val}")
+        raise ConsistencyError(f"Willmore closed form not positive: {val}")
     return val.real
 
 
@@ -395,7 +396,7 @@ def willmore_direct(gamma_hat, vol_hat, gamma_tilde, vol_tilde):
     w_hat = 4.0 * float(np.mean(np.asarray(gamma_hat) ** 2)) * vol_hat
     w_til = 8.0 * float(np.mean(np.asarray(gamma_tilde) ** 2)) * vol_tilde
     if abs(w_hat - w_til) > 1e-6 * abs(w_hat):
-        raise AssertionError(
+        raise ConsistencyError(
             f"domain-doubling identity violated: {w_hat} vs {w_til}")
     return w_hat, w_til
 
@@ -414,7 +415,8 @@ def willmore_direct_g1(d, n=192, s0=None):
         for w in (w1, w2):
             yh = y_hat(d.phi, w.real, w.imag)
             if abs((yh + 0.5 * period) % period - 0.5 * period) > 1e-6 * max(1.0, period):
-                raise AssertionError("lattice vector does not close the reduced orbit")
+                raise ConsistencyError(
+                    "lattice vector does not close the reduced orbit")
     s = (np.arange(n) + 0.5) / n
     u, v = np.meshgrid(s, s, indexing="ij")
     vol_hat = abs(np.imag(np.conj(wh1) * wh2))

@@ -25,7 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AmbiguousRootError, ClassError, DomainError, MembershipError
+from .errors import (AmbiguousRootError, ClassError, ConsistencyError,
+                     DomainError, MembershipError)
 
 
 class SpectralClass(Enum):
@@ -113,16 +114,21 @@ def v_matrix(p, lam):
 
 def spectral_poly(p):
     """Quartic of det zeta = lam*a(lam); verified against the determinant."""
+    try:
+        # a2 bounds every term of a1, so a1 is finite when a2 is
+        a2 = (2.0 * abs(p.alpha) ** 2 + abs(p.beta) ** 2
+              + p.gamma ** 2 + p.gamma ** -2)
+    except OverflowError:
+        raise DomainError("potential too large or gamma too small: the "
+                          "spectral quartic overflows") from None
     a1 = -np.conj(p.alpha) ** 2 - p.beta / p.gamma - np.conj(p.beta) * p.gamma
-    a2 = (2.0 * abs(p.alpha) ** 2 + abs(p.beta) ** 2
-          + p.gamma ** 2 + p.gamma ** -2)
     q = SpectralQuartic(a1, float(a2))
     # cheap consistency check at a handful of sample values
     for lam in (1.0, -1.0, 1j, 0.5 + 0.5j, 2.0):
         det = np.linalg.det(eval_zeta(p, lam))
         ref = lam * q(lam)
         if abs(det - ref) > 1e-9 * (1.0 + abs(lam) ** 5):
-            raise AssertionError("determinant/coefficient mismatch")
+            raise ConsistencyError("determinant/coefficient mismatch")
     return q
 
 
@@ -336,7 +342,7 @@ def off_diagonal_points(q):
         for v in (a2, 1.0 / np.conj(a2)):
             uv = u * v
             if abs(uv.imag) > 1e-8 * abs(uv) or uv.real <= 0.0:
-                raise AssertionError("pair product not real positive")
+                raise ConsistencyError("pair product not real positive")
             gamma = 1.0 / np.sqrt(uv.real)
             beta = gamma * (u + v)
             out.append(Potential(0.0, beta, gamma))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from sgtori.cli import main
 from sgtori.weierstrass import kernel_from_r
@@ -203,6 +204,41 @@ def test_flow_step_budget_exits_3():
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical failure:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--gamma", "1e150", "--to", "1", "0"),
+    ("flow", "--gamma", "1e-150", "--to", "1", "0"),
+    ("flow", "--gamma", "1e-300", "--to", "1", "0"),
+    ("flow", "--gamma", "2", "--alpha", "1e200", "0", "--to", "1", "0"),
+])
+def test_extreme_potentials_end_in_typed_errors(capsys, argv):
+    # determinant mismatch -> ConsistencyError (3); overflow -> DomainError (2)
+    code, out, err = run(capsys, *argv)
+    assert code in (2, 3)
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("willmore", "--r", "0.7", "--grid", "0"),
+    ("lattice", "--gamma", "2", "--tol", "nan"),
+    ("flow", "--gamma", "inf", "--to", "1", "0"),
+    ("figure4", "--r-list", "0.7", "--t-steps", "0"),
+])
+def test_parser_rejects_non_finite_and_empty_grids(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_refuses_non_finite_values(capsys):
+    from sgtori.cli import _emit
+    from sgtori.errors import ConsistencyError
+    with pytest.raises(ConsistencyError):
+        _emit({"command": "x"}, {"value": float("nan")})
+    assert capsys.readouterr().out == ""
 
 
 def test_immersion_export(tmp_path, capsys):

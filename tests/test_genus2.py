@@ -5,9 +5,11 @@ import pytest
 
 from sgtori.errors import BranchCollisionError, ClassError, PathIntegrationError
 from sgtori.genus1 import Genus1Data, lattice_g1
-from sgtori.genus2 import (HyperCurve, build_cycles, b_period_map, capsule_around,
-                           circle, contour_integrals, mu_at_roots, nu_on_contour,
-                           period_lattice, solve_b_omega)
+from sgtori import genus2
+from sgtori.genus2 import (HyperCurve, _track_nu, build_cycles, b_period_map,
+                           capsule_around, circle, contour_integrals,
+                           mu_at_roots, nu_on_contour, period_lattice,
+                           period_table, solve_b_omega)
 from sgtori.modular import lattice_distance
 from sgtori.potentials import (SpectralQuartic, classify, quartic_from_roots)
 
@@ -301,3 +303,107 @@ def test_lattice_generators_are_flow_periods():
             z0 = eval_zeta(p0, lam)
             comm = F[k] @ z0 - z0 @ F[k]
             assert np.max(np.abs(comm)) <= 1e-6
+
+
+# --- the moment table and the one-pass sheet tracker ------------------------
+
+
+def _nearest_value_reference(curve, lam, start=None):
+    """Sequential nearest-value continuation, one sample at a time."""
+    prev = start
+    out = []
+    for v in np.sqrt(curve.nu_sq(lam)):
+        if prev is not None and abs(v - prev) > abs(v + prev):
+            v = -v
+        out.append(v)
+        prev = v
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_track_nu_equals_sequential_continuation(biquadratic, seed):
+    rng = np.random.default_rng(seed)
+    # ordered samples: a random walk that winds among the branch points
+    steps = 0.02 * (rng.normal(size=4000) + 1j * rng.normal(size=4000))
+    lam = 0.3 + 0.2j + np.cumsum(steps)
+    for start in (None, 1.5 - 0.5j, -1.5 + 0.5j):
+        ref = _nearest_value_reference(biquadratic, lam, start)
+        assert np.array_equal(_track_nu(biquadratic, lam, start), ref)
+
+
+def test_period_lattice_makes_one_quadrature_per_cycle(
+        biquadratic, biq_cycles, monkeypatch):
+    calls = []
+    original = genus2.contour_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].label)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(genus2, "contour_integrals", counted)
+    lat = period_lattice(biquadratic, biq_cycles)
+    assert sorted(calls) == ["A1", "A2", "B1", "B2"]
+    assert lat.moments.shape == (4, 4)
+
+
+def test_mu_at_roots_uses_the_lattice_table(biquadratic, biq_lattice,
+                                            monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mu_at_roots must not integrate over cycles")
+
+    for name in ("contour_integrals", "build_cycles", "solve_b_omega"):
+        monkeypatch.setattr(genus2, name, forbidden)
+    signs, _ = mu_at_roots(biquadratic, biq_lattice, biq_lattice.omega1)
+    assert signs == [-1, -1, -1, -1]
+
+
+def test_generators_hit_b_periods_by_fresh_quadrature(biquadratic, biq_cycles,
+                                                      biq_lattice):
+    # oracle: a fresh quadrature of each generator's b over B1, B2, not the
+    # table combination the lattice was solved from
+    for w, target in ((biq_lattice.omega1, (2j * math.pi, 0.0)),
+                      (biq_lattice.omega2, (0.0, 2j * math.pi))):
+        b = solve_b_omega(biquadratic, biq_cycles, w)
+        for cyc, want in zip((biq_cycles.b1, biq_cycles.b2), target):
+            val, _ = contour_integrals(biquadratic, cyc, [b])
+            assert abs(val[0] - want) <= 1e-7
+
+
+def test_table_solved_b_has_vanishing_fresh_a_integrals(biquadratic,
+                                                        biq_cycles):
+    table = period_table(biquadratic, biq_cycles)
+    for w in (1.0, 1j, 0.7 + 0.2j, -2.0 + 3.0j):
+        b = genus2._solve_b(table[:2], w)
+        for cyc in (biq_cycles.a1, biq_cycles.a2):
+            val, _ = contour_integrals(biquadratic, cyc, [b])
+            assert abs(val[0]) <= 1e-9 * max(1.0, abs(w))
+        # the same integrals as the table combination
+        for row, cyc in zip(table, (biq_cycles.a1, biq_cycles.a2,
+                                    biq_cycles.b1, biq_cycles.b2)):
+            val, _ = contour_integrals(biquadratic, cyc, [b])
+            assert abs(val[0] - row @ b.coeffs()) <= 1e-9 * max(1.0, abs(w))
+
+
+# signs and deviations of the per-panel sequential implementation this one
+# replaced, on the biquadratic fixture
+_MU_BIQ = {
+    "omega1": ([-1, -1, -1, -1],
+               [7.454794328070198e-13, 7.47712729553917e-13,
+                7.469027213468867e-13, 7.471308606526303e-13]),
+    "omega2": ([1, -1, 1, -1],
+               [6.693008698396444e-12, 6.700097170649762e-12,
+                6.6899724389837615e-12, 6.696087865307793e-12]),
+    "sum": ([-1, 1, -1, 1],
+            [6.24126203183411e-12, 6.240916902038919e-12,
+             6.240758934795693e-12, 6.236297006871916e-12]),
+}
+
+
+def test_mu_at_roots_matches_sequential_tracking(biquadratic, biq_lattice):
+    vectors = {"omega1": biq_lattice.omega1, "omega2": biq_lattice.omega2,
+               "sum": biq_lattice.omega1 + biq_lattice.omega2}
+    for name, w in vectors.items():
+        signs, devs = mu_at_roots(biquadratic, biq_lattice, w)
+        want_signs, want_devs = _MU_BIQ[name]
+        assert signs == want_signs
+        assert np.max(np.abs(np.array(devs) - want_devs)) <= 1e-12

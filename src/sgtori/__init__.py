@@ -5,7 +5,7 @@ from .potentials import (Potential, SpectralClass, SpectralPoint,
                          SpectralQuartic, classify, eval_zeta,
                          fixed_point_potential, off_diagonal_points,
                          spectral_poly)
-from .laxflows import (FlowResult, FrameGrid, Genus1State, Trajectory,
+from .laxflows import (FlowResult, Genus1State, Trajectory,
                        genus1_flow, genus1_period, integrate_flow,
                        integrate_frame, lax_vector_fields,
                        sinh_gordon_residual, trajectory_grid)
@@ -17,7 +17,7 @@ from .genus2 import (HyperCurve, build_cycles, b_period_map, mu_at_roots,
                      nu_on_contour, period_lattice, solve_b_omega)
 from .modular import ReducedTau, lattice_distance, reduce, tau_hat
 from .immersion import (ClosingData, ImmersionGrid, WillmoreReport,
-                        closing_points_g1, conformality_defect, immersion,
+                        closing_points_g1, conformality_defect,
                         periodicity_defect, willmore_direct, willmore_direct_g1,
                         willmore_explicit_g1, willmore_report,
                         willmore_residue_g1)

@@ -8,7 +8,10 @@ frame at four spectral points (p1, p2 = eta(p1), p3, p4 = eta(p3)):
 
 which is quaternion-valued (j A = conj(A) j) and doubly periodic over the
 index-two sublattice spanned by w1 + w2, w2 - w1 once the monodromy
-eigenvalues at the four points all equal -1 (closing condition).
+eigenvalues at the four points all equal -1 (closing condition).  Frames
+come from laxflows: a patch from one `integrate_frame` sweep, and the
+frame at a translate z + w_hat from F(z) times `frame_at` of the potential
+flowed to z.
 
 Willmore energy routes:
   explicit : W = 8 pi (omega' e3 + eta') lam_h+/nu_h+  (elliptic closed form;
@@ -31,8 +34,8 @@ from .errors import (ClosingViolationError, ConsistencyError,
                      DegenerateFrameError, FitResidualError)
 from .genus1 import (Genus1Data, lattice_g1, lift_state, log_mu1, log_mu2,
                      log_mu_pair_near_zero, tau_tilde, y_hat)
-from .laxflows import (Genus1State, _drive, _pack_frames, _unpack_potential,
-                       genus1_flow, genus1_interpolant, genus1_period)
+from .laxflows import (Genus1State, frame_at, genus1_flow, genus1_interpolant,
+                       genus1_period, integrate_frame)
 from .modular import tau_hat
 from .potentials import SpectralPoint
 
@@ -209,29 +212,18 @@ class ImmersionGrid:
 
 
 def immersion(cd, x0=0.05, y0=0.05, n=8, h=0.01, tol=1e-11):
-    """Sample f on an n x n patch with spacing h (column-sweep integration)."""
-    p0 = base_potential(cd)
-    lams = cd.lambdas
+    """Sample f on an n x n patch with spacing h."""
+    traj = integrate_frame(base_potential(cd), (x0, y0, n, n, h, h),
+                           cd.lambdas, tol)
     f = np.empty((n, n, 2, 2), complex)
     nrm = np.empty((n, n, 2, 2), complex)
     psi = np.empty((n, n, 2, 2), complex)
-    gam = np.empty((n, n))
-    col = _pack_frames(p0, lams)
-    _drive(col, x0, y0, lams, tol, tol * 1e-2, True)
-    for j in range(n):
-        if j > 0:
-            _drive(col, 0.0, h, lams, tol, tol * 1e-2, True)
-        y = col.copy()
-        for i in range(n):
-            if i > 0:
-                _drive(y, h, 0.0, lams, tol, tol * 1e-2, True)
-            frames = y[3:].reshape(lams.size, 2, 2)
-            fij, m12 = immersion_at(cd, frames)
-            f[j, i] = fij
-            psi[j, i] = m12
-            nrm[j, i] = _inv2(m12) @ _I_QUAT @ m12
-            gam[j, i] = _unpack_potential(y).gamma
-    return ImmersionGrid(x0, y0, h, f, nrm, gam, psi, cd)
+    for j, i in np.ndindex(n, n):
+        fij, m12 = immersion_at(cd, traj.frames[j, i])
+        f[j, i] = fij
+        psi[j, i] = m12
+        nrm[j, i] = _inv2(m12) @ _I_QUAT @ m12
+    return ImmersionGrid(x0, y0, h, f, nrm, traj.gamma_grid(), psi, cd)
 
 
 def conformality_defect(grid):
@@ -254,26 +246,20 @@ def conformality_defect(grid):
 def periodicity_defect(cd, n_samples=3, tol=1e-11):
     """max_j max_z |f(z + w_hat_j) - f(z)| / scale over a few base points.
 
-    The frame at z + w_hat_j is carried on from the frame at z.
+    The frame at z + w_hat_j is F(z) times the frame of the potential flowed
+    to z, taken over w_hat_j.
     """
     p0 = base_potential(cd)
-    lams = cd.lambdas
-    nl = lams.size
-    wh1, wh2 = cd.w_hat
     worst = 0.0
     rng = np.random.default_rng(11)
     for _ in range(n_samples):
         z = complex(0.2 * rng.random(), 0.2 * rng.random())
-        st0 = _pack_frames(p0, lams)
-        _drive(st0, z.real, z.imag, lams, tol, tol * 1e-2, True)
-        f0, _ = immersion_at(cd, st0[3:].reshape(nl, 2, 2))
-        for wh in (wh1, wh2):
-            zt = z + wh
-            st = st0.copy()
-            _drive(st, zt.real - z.real, zt.imag - z.imag, lams, tol,
-                   tol * 1e-2, True)
-            f1, _ = immersion_at(cd, st[3:].reshape(nl, 2, 2))
-            scale = max(1.0, float(np.max(np.abs(f0))))
+        F0, p_z = frame_at(p0, z.real, z.imag, cd.lambdas, tol)
+        f0, _ = immersion_at(cd, F0)
+        scale = max(1.0, float(np.max(np.abs(f0))))
+        for wh in cd.w_hat:
+            Fw, _ = frame_at(p_z, wh.real, wh.imag, cd.lambdas, tol)
+            f1, _ = immersion_at(cd, F0 @ Fw)
             worst = max(worst, float(np.max(np.abs(f1 - f0))) / scale)
     return worst
 

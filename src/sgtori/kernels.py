@@ -6,7 +6,8 @@ The stepper holds its state as a list of Python ``complex``/``float`` values
 for the whole call: arithmetic on NumPy scalars costs several times more per
 operation, and a state of 3 to 15 entries is too short for array operations
 to pay.  `drive` and `genus1_drive` take and fill NumPy arrays at their
-boundary only.
+boundary only; `genus1_drive` also returns its record as a list, which
+grows with the steps taken.
 
 Flow/frame state layout:
 
@@ -246,24 +247,16 @@ def drive(y, cx, cy, length, lambdas, rtol, atol, renorm):
     return status, n_acc, h_min
 
 
-def genus1_drive(state, span, rtol, atol, rec_t, rec_a, rec_b, max_step):
+def genus1_drive(state, span, rtol, atol, max_step):
     """Integrate the reduced flow over `span` (either sign), recording the
-    initial state and every accepted step into the preallocated rec_* arrays
-    (records past their length are dropped).
+    initial state and every accepted step as (t, [alpha_hat, beta_hat]).
 
-    Returns (status, n_records); on OK the final state is written to `state`.
+    Returns (status, n_records, records); on OK the final state is written
+    to `state`.
     """
-    rec = []
-    status, y, _, _ = _dopri54(genus1_rhs, [float(state[0]), float(state[1])],
-                               span, rtol, atol, 0.01, max_step, 1, record=rec)
-    m = min(len(rec) + 1, rec_t.shape[0])
-    rec_t[0] = 0.0
-    rec_a[0] = state[0]
-    rec_b[0] = state[1]
-    for i, (t, (a, b)) in enumerate(rec[:m - 1], 1):
-        rec_t[i] = t
-        rec_a[i] = a
-        rec_b[i] = b
+    rec = [(0.0, [float(state[0]), float(state[1])])]
+    status, y, _, _ = _dopri54(genus1_rhs, rec[0][1], span, rtol, atol, 0.01,
+                               max_step, 1, record=rec)
     if status == OK:
         state[0], state[1] = y
-    return status, m
+    return status, len(rec), rec

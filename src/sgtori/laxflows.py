@@ -15,6 +15,11 @@ written out on the parameters (alpha, beta, gamma):
 
 The quartic coefficients a1, a2 are conserved.  The frame F solves
 dF = F (U dx + V dy), F(0,0) = 1, with det F = 1 (renormalized each step).
+Translating a frame by w multiplies it by the frame of the flowed potential,
+F(z + w) = F(z) F_{p(z)}(w), so callers need only `frame_at` (one segment)
+and `integrate_frame` (one lattice sweep, which `trajectory_grid` runs with
+no spectral samples).  The packed state that `kernels.drive` integrates is
+private to this module.
 
 Conformal-coordinate convention: the flow parameters (x, y) are related to
 the conformal coordinate of the induced surface by z_conf = 2 z, so u = ln
@@ -48,23 +53,20 @@ def bracket_matrices(p, lam):
     return z @ u - u @ z, z @ v - v @ z
 
 
-def _pack(p, frames):
-    y = np.empty(3 + frames.size, complex)
+def _pack_frames(p, lams):
+    """State of p with identity frames at each of the spectral samples."""
+    y = np.empty(3 + 4 * lams.size, complex)
     y[0] = p.alpha
     y[1] = p.beta
     y[2] = p.gamma
-    if frames.size:
-        y[3:] = frames
+    y[3:] = np.tile(np.eye(2, dtype=complex).ravel(), lams.size)
     return y
 
 
-def _pack_frames(p0, lams):
-    """State of p0 with identity frames at each of the spectral samples."""
-    return _pack(p0, np.tile(np.eye(2, dtype=complex).ravel(), lams.size))
-
-
-def _unpack_potential(y):
-    return Potential(complex(y[0]), complex(y[1]), float(y[2].real))
+def _unpack(y, n_lambda):
+    """(frames, potential) of a packed state; the frames are a view of y."""
+    return (y[3:].reshape(n_lambda, 2, 2),
+            Potential(complex(y[0]), complex(y[1]), float(y[2].real)))
 
 
 # local-error targets are set a factor below the requested drift tolerance so
@@ -72,15 +74,29 @@ def _unpack_potential(y):
 _TOL_CALIBRATION = 0.15
 
 
-def _drive(y, dx, dy, lambdas, rtol, atol, renorm):
+def _drive(y, dx, dy, lambdas, tol):
+    """Flow the packed state `y` in place along the segment (dx, dy)."""
     length = float(np.hypot(dx, dy))
     if length == 0.0:
         return
     status, _, hmin = kernels.drive(y, dx / length, dy / length, length,
-                                    lambdas, rtol * _TOL_CALIBRATION,
-                                    atol * _TOL_CALIBRATION, renorm)
+                                    lambdas, tol * _TOL_CALIBRATION,
+                                    tol * 1e-2 * _TOL_CALIBRATION, True)
     if status == kernels.STEP_COLLAPSE:
         raise StepCollapseError(f"step size collapsed to {hmin:.2e}")
+
+
+def frame_at(p0, x, y, lambda_samples, tol=1e-10):
+    """(F(x, y; lambda_k), flowed potential) along the straight segment from
+    the origin.
+
+    Frames compose along paths: with (F, p) = frame_at(p0, z) the frame at
+    z + w is F @ frame_at(p, w)[0].
+    """
+    lams = np.asarray(lambda_samples, complex)
+    st = _pack_frames(p0, lams)
+    _drive(st, x, y, lams, tol)
+    return _unpack(st, lams.size)
 
 
 @dataclass
@@ -103,14 +119,11 @@ def integrate_flow(p0, path, tol=1e-10):
     q0 = spectral_poly(p0)
     pts = [(0.0, 0.0)]
     states = [p0]
-    y = _pack(p0, np.empty(0, complex))
     cx, cy = 0.0, 0.0
     d1 = d2 = 0.0
-    none = np.empty(0, complex)
     for (tx, ty) in path:
-        _drive(y, tx - cx, ty - cy, none, tol, tol * 1e-2, False)
+        _, p = frame_at(states[-1], tx - cx, ty - cy, (), tol)
         cx, cy = tx, ty
-        p = _unpack_potential(y)
         q = spectral_poly(p)
         d1 = max(d1, abs(q.a1 - q0.a1))
         d2 = max(d2, abs(q.a2 - q0.a2))
@@ -121,14 +134,16 @@ def integrate_flow(p0, path, tol=1e-10):
 
 @dataclass
 class Trajectory:
-    """Potential states on a rectangular (x, y) lattice."""
+    """Potentials, and frames at the spectral samples, on a rectangular
+    (x, y) lattice; with no samples `frames` has length 0 along its third
+    axis."""
     x0: float
     y0: float
     hx: float
     hy: float
+    lambda_samples: np.ndarray
+    frames: np.ndarray           # frames[j, i, k] at lambda_samples[k]
     states: list                 # states[j][i] at (x0 + i*hx, y0 + j*hy)
-    drift_a1: float
-    drift_a2: float
 
     @property
     def nx(self):
@@ -164,93 +179,35 @@ class Trajectory:
                          f"{p.beta.imag:.17g},{p.gamma:.17g}\n")
 
 
-def trajectory_grid(p0, x0, y0, nx, ny, hx, hy, tol=1e-10):
-    """Flow p0 onto a rectangular lattice (column-by-column integration)."""
-    q0 = spectral_poly(p0)
-    none = np.empty(0, complex)
-    y = _pack(p0, none)
-    _drive(y, x0, y0, none, tol, tol * 1e-2, False)
-    rows = [[None] * nx for _ in range(ny)]
-    d1 = d2 = 0.0
-    col = y.copy()
-    for j in range(ny):
-        if j > 0:
-            _drive(col, 0.0, hy, none, tol, tol * 1e-2, False)
-        y = col.copy()
-        for i in range(nx):
-            if i > 0:
-                _drive(y, hx, 0.0, none, tol, tol * 1e-2, False)
-            p = _unpack_potential(y)
-            rows[j][i] = p
-        q = spectral_poly(rows[j][-1])
-        d1 = max(d1, abs(q.a1 - q0.a1))
-        d2 = max(d2, abs(q.a2 - q0.a2))
-    return Trajectory(x0, y0, hx, hy, rows, d1, d2)
+def integrate_frame(p0, grid, lambda_samples, tol=1e-10):
+    """Integrate the flows and dF = F(U dx + V dy) over a rectangular grid.
 
-
-@dataclass
-class FrameGrid:
-    """Frames F(x, y; lambda) on a lattice, co-integrated with the potential."""
-    x0: float
-    y0: float
-    hx: float
-    hy: float
-    lambda_samples: np.ndarray
-    frames: np.ndarray           # shape (ny, nx, n_lambda, 2, 2)
-    states: list                 # Potential per node
-
-
-def default_lambda_samples(extra=()):
-    th = np.arange(16) * (2.0 * np.pi / 16.0)
-    return np.concatenate([np.exp(1j * th), np.asarray(extra, complex)])
-
-
-def integrate_frame(p0, grid, lambda_samples=None, tol=1e-10):
-    """Integrate dF = F(U dx + V dy) over a rectangular grid.
-
-    `grid` is (x0, y0, nx, ny, hx, hy).  The potential is co-integrated (U, V
-    depend on the flowing zeta); det F is renormalized to 1 after every
-    accepted step.  F(0,0) = identity regardless of the grid origin.
+    `grid` is (x0, y0, nx, ny, hx, hy).  The state is driven to the grid
+    origin, then up the first column and along each row from its first node.
+    det F is renormalized to 1 after every accepted step.  F(0,0) = identity
+    regardless of the grid origin.
     """
     x0, y0, nx, ny, hx, hy = grid
-    lams = (default_lambda_samples() if lambda_samples is None
-            else np.asarray(lambda_samples, complex))
+    lams = np.asarray(lambda_samples, complex)
     nl = lams.size
-    y = _pack_frames(p0, lams)
-    _drive(y, x0, y0, lams, tol, tol * 1e-2, True)
+    col = _pack_frames(p0, lams)
+    _drive(col, x0, y0, lams, tol)
     frames = np.empty((ny, nx, nl, 2, 2), complex)
     states = [[None] * nx for _ in range(ny)]
-    col = y.copy()
     for j in range(ny):
         if j > 0:
-            _drive(col, 0.0, hy, lams, tol, tol * 1e-2, True)
+            _drive(col, 0.0, hy, lams, tol)
         y = col.copy()
         for i in range(nx):
             if i > 0:
-                _drive(y, hx, 0.0, lams, tol, tol * 1e-2, True)
-            frames[j, i] = y[3:].reshape(nl, 2, 2)
-            states[j][i] = _unpack_potential(y)
-    return FrameGrid(x0, y0, hx, hy, lams, frames, states)
+                _drive(y, hx, 0.0, lams, tol)
+            frames[j, i], states[j][i] = _unpack(y, nl)
+    return Trajectory(x0, y0, hx, hy, lams, frames, states)
 
 
-def frame_at(p0, x, y, lambda_samples, tol=1e-10):
-    """(F(x, y; lambda_k), flowed potential) along the straight segment from
-    the origin."""
-    lams = np.asarray(lambda_samples, complex)
-    st = _pack_frames(p0, lams)
-    _drive(st, x, y, lams, tol, tol * 1e-2, True)
-    return st[3:].reshape(lams.size, 2, 2), _unpack_potential(st)
-
-
-def monodromy(p0, omega, lambda_samples, tol=1e-10):
-    """Frame value after one lattice translation omega = (x, y) or complex."""
-    if np.iscomplexobj(omega) or isinstance(omega, complex):
-        omega = complex(omega)
-        x, y = omega.real, omega.imag
-    else:
-        x, y = omega
-    F, p_end = frame_at(p0, x, y, lambda_samples, tol)
-    return F, p_end
+def trajectory_grid(p0, x0, y0, nx, ny, hx, hy, tol=1e-10):
+    """Flow p0 onto a rectangular lattice, without frames."""
+    return integrate_frame(p0, (x0, y0, nx, ny, hx, hy), (), tol)
 
 
 def sinh_gordon_residual(traj, coordinate_scale=2.0):
@@ -304,22 +261,14 @@ def genus1_flow(s0, y_span, tol=1e-10, max_step=0.02):
     a dense record of every accepted step (cubic Hermite data for
     interpolation; derivative values follow from the right-hand side).
     """
-    cap = max(256, int(4 * abs(y_span) / max_step) + 64)
-    for _ in range(6):
-        rec_t = np.empty(cap)
-        rec_a = np.empty(cap)
-        rec_b = np.empty(cap)
-        state = np.array([s0.alpha_hat, s0.beta_hat])
-        status, m = kernels.genus1_drive(state, float(y_span), tol, tol * 1e-2,
-                                         rec_t, rec_a, rec_b, max_step)
-        if status == kernels.STEP_COLLAPSE:
-            raise StepCollapseError("reduced flow step collapsed")
-        if m < cap:
-            return Genus1Orbit(rec_t[:m].copy(), rec_a[:m].copy(),
-                               rec_b[:m].copy(),
-                               Genus1State(state[0], state[1]))
-        cap *= 4
-    raise StepCollapseError("dense record overflow")
+    state = np.array([s0.alpha_hat, s0.beta_hat])
+    status, _, rec = kernels.genus1_drive(state, float(y_span), tol,
+                                          tol * 1e-2, max_step)
+    if status == kernels.STEP_COLLAPSE:
+        raise StepCollapseError("reduced flow step collapsed")
+    a, b = np.array([ab for _, ab in rec]).T
+    return Genus1Orbit(np.array([t for t, _ in rec]), a, b,
+                       Genus1State(state[0], state[1]))
 
 
 # The periods seen (0.26 to 1.5708) lie below pi/2, their small-amplitude

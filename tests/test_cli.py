@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -249,3 +250,18 @@ def test_immersion_export(tmp_path, capsys):
     txt = out.read_text()
     assert txt.count("\nv ") + txt.startswith("v ") == 9
     assert txt.count("\nf ") == 8
+
+
+# sha256 of stdout.  The immersion mesh is built by the frame sweep
+# (integrate_frame) and the flow by frame_at on an empty frame list; both
+# outputs are pinned to the bit.
+@pytest.mark.parametrize("argv, digest", [
+    (["immersion-export", "--r", "0.7", "--t", "0.2", "--grid", "6"],
+     "7ca3046545fcfd28ea49aac792e0f13117610260c79cdaa4ad67ed1e39797f6e"),
+    (["flow", "--gamma", "2", "--alpha", "0.3", "0.1", "--to", "1.3", "-0.7"],
+     "08a536a55b9906848421f517cd5a85dd3f0bcdd60270e5ae24b433402ecbb7a5"),
+])
+def test_stdout_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -237,3 +238,26 @@ def test_phi_seam_family_members():
     assert float(np.max(np.abs(cd.mu_hat + 1.0))) <= 1e-8
     rep = willmore_report(d, n_direct=96)
     assert max(rep.agreement.values()) <= 1e-6
+
+
+def test_immersion_module_is_not_shadowed():
+    import sgtori.immersion as m
+    from sgtori import immersion as m2
+    assert isinstance(m, types.ModuleType) and m2 is m
+
+
+@pytest.mark.parametrize("generator", [0, 1])
+def test_frame_cocycle_over_closing_lattice(sample_m22, generator):
+    # F(z + w) = F(z) F_{p(z)}(w), with p(z) the potential flowed to z: the
+    # identity periodicity_defect translates frames by
+    from sgtori.immersion import base_potential
+    from sgtori.laxflows import frame_at
+    cd = closing_points_g1(sample_m22)
+    p0 = base_potential(cd)
+    z = 0.13 + 0.07j
+    w = cd.w_hat[generator]
+    zw = z + w
+    F_z, p_z = frame_at(p0, z.real, z.imag, cd.lambdas, tol=1e-11)
+    F_w, _ = frame_at(p_z, w.real, w.imag, cd.lambdas, tol=1e-11)
+    F_zw, _ = frame_at(p0, zw.real, zw.imag, cd.lambdas, tol=1e-11)
+    assert np.max(np.abs(F_zw - F_z @ F_w)) <= 1e-9

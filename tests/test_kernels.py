@@ -5,7 +5,7 @@ import pytest
 
 from sgtori import kernels
 from sgtori.errors import StepBudgetError, StepCollapseError
-from sgtori.laxflows import _drive, _pack, _pack_frames
+from sgtori.laxflows import _drive, _pack_frames
 from sgtori.potentials import Potential
 
 NO_FRAMES = np.empty(0, complex)
@@ -31,7 +31,7 @@ COLLAPSE_LENGTH = 6.8e11
 
 
 def test_step_collapse_leaves_last_accepted_state():
-    y = _pack(COLLAPSE_POTENTIAL, NO_FRAMES)
+    y = _pack_frames(COLLAPSE_POTENTIAL, NO_FRAMES)
     status, n_acc, h_min = kernels.drive(y, 1.0, 0.0, COLLAPSE_LENGTH,
                                          NO_FRAMES, 1e-10, 1e-12, False)
     assert status == kernels.STEP_COLLAPSE
@@ -48,14 +48,14 @@ def test_step_collapse_leaves_last_accepted_state():
 
 
 def test_step_collapse_raises_from_laxflows_drive():
-    y = _pack(COLLAPSE_POTENTIAL, NO_FRAMES)
+    y = _pack_frames(COLLAPSE_POTENTIAL, NO_FRAMES)
     with pytest.raises(StepCollapseError):
-        _drive(y, COLLAPSE_LENGTH, 0.0, NO_FRAMES, 1e-10, 1e-12, False)
+        _drive(y, COLLAPSE_LENGTH, 0.0, NO_FRAMES, 1e-10)
 
 
 def test_step_budget_raises(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_RHS_EVALS", 600)
-    y = _pack(COLLAPSE_POTENTIAL, NO_FRAMES)
+    y = _pack_frames(COLLAPSE_POTENTIAL, NO_FRAMES)
     # a 0.3 path takes about 45 steps of 6 evaluations, a 10 path over 1000
     assert kernels.drive(y.copy(), 1.0, 0.0, 0.3, NO_FRAMES, 1e-10, 1e-12,
                          False)[0] == kernels.OK

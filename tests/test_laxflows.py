@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sgtori import laxflows
+from sgtori import kernels, laxflows
 from sgtori.errors import GridTooSmallError
 from sgtori.genus1 import Genus1Data, lattice_g1, lift_genus1_potential, lift_state
 from sgtori.laxflows import (Genus1State, bracket_matrices, frame_at,
@@ -189,6 +189,24 @@ class TestGenus1Flow:
         assert drift <= 1e-9
         tight = genus1_flow(s, 5.0, tol=1e-12)
         assert abs(orbit.final.beta_hat - tight.final.beta_hat) < 1e-8
+
+    def test_flow_integrates_once_whatever_the_record_length(self,
+                                                             monkeypatch):
+        # 1409 records (the start and 1408 accepted steps) over a span
+        # of 5 at max_step 0.02
+        calls = []
+        drive = kernels.genus1_drive
+
+        def counted(*args):
+            calls.append(args)
+            return drive(*args)
+
+        monkeypatch.setattr(kernels, "genus1_drive", counted)
+        orbit = genus1_flow(Genus1State(0.3, 1.2), 5.0, tol=1e-12)
+        assert len(calls) == 1
+        assert len(orbit.y) == 1409 and orbit.y[-1] == 5.0
+        assert orbit.final == Genus1State(-0.3243065615613176,
+                                          1.1874764308631582)
 
     def test_closed_orbit(self):
         s = Genus1State(0.0, 2.0)

@@ -1,10 +1,11 @@
 """Tier-1 smoke test of the benchmark harness against the package.
 
-perfbench/tracer.py wraps kernels.drive and kernels.genus1_drive, and the
-genus2 entry points (build_cycles, contour_integrals, solve_b_omega,
-period_lattice, mu_at_roots), by name and reads their return values; one
-quick run each of torus_closing and g2_lattice (about 5 s each) fails here
-if that contract breaks.
+perfbench/tracer.py wraps kernels.drive and kernels.genus1_drive, the
+reduced-flow entry points (genus1_flow, genus1_period) and the genus2 entry
+points (build_cycles, contour_integrals, solve_b_omega, period_lattice,
+mu_at_roots), by name and reads their return values; one quick run each of
+torus_closing, willmore_sg and g2_lattice (about 5 s each) fails here if
+that contract breaks.
 """
 
 import json
@@ -28,6 +29,12 @@ def _quick(workload):
 
 def test_perfbench_quick_torus_closing():
     _quick("torus_closing")
+
+
+def test_perfbench_quick_willmore_sg():
+    # the tracer reads the record count at index 1 of genus1_drive's result
+    counts = _quick("willmore_sg")
+    assert counts["kernels.genus1_drive.records"] > 0
 
 
 def test_perfbench_quick_g2_lattice():

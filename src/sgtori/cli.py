@@ -56,6 +56,8 @@ def _write_csv(path, config, header, rows):
 
 
 def _quartic_from_args(args):
+    if (args.a1 is None) != (args.a2 is None):
+        raise errors.DomainError("--a1 and --a2 must be given together")
     if args.a1 is not None:
         return SpectralQuartic(complex(args.a1[0], args.a1[1]), args.a2)
     p = Potential(complex(*args.alpha), complex(*args.beta), args.gamma)
@@ -173,7 +175,7 @@ def cmd_immersion_export(args):
 def _config(args, name):
     cfg = {"command": name}
     for key in ("r", "t", "phi", "alpha", "beta", "gamma", "a1", "a2",
-                "grid", "tol", "jobs", "format", "r_list", "t_steps",
+                "grid", "tol", "jobs", "r_list", "t_steps",
                 "to", "h"):
         v = getattr(args, key, None)
         if v is not None:
@@ -205,8 +207,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("--tol", type=finite_float, default=1e-8)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
 
     def add_potential(p):
         p.add_argument("--alpha", type=finite_float, nargs=2,
@@ -251,17 +251,16 @@ def build_parser():
     p.add_argument("--grid", type=positive_int, default=192)
     p.set_defaults(fn=cmd_willmore)
 
-    p = sub.add_parser("figure3", help="tau-tilde sweep CSV")
-    add_common(p)
-    p.add_argument("--r-list", dest="r_list", required=True)
-    p.add_argument("--t-steps", dest="t_steps", type=positive_int, default=64)
-    p.set_defaults(fn=cmd_figure3)
-
-    p = sub.add_parser("figure4", help="Willmore-vs-conformal-class sweep CSV")
-    add_common(p)
-    p.add_argument("--r-list", dest="r_list", required=True)
-    p.add_argument("--t-steps", dest="t_steps", type=positive_int, default=64)
-    p.set_defaults(fn=cmd_figure4)
+    for name, fn, text in (
+            ("figure3", cmd_figure3, "tau-tilde sweep CSV"),
+            ("figure4", cmd_figure4, "Willmore-vs-conformal-class sweep CSV")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--r-list", dest="r_list", required=True)
+        p.add_argument("--t-steps", dest="t_steps", type=positive_int,
+                       default=64)
+        p.add_argument("--jobs", type=positive_int, default=1)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("immersion-export", help="OBJ mesh of the immersion")
     add_common(p)

@@ -37,9 +37,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 # The largest single call seen in the test suite and the benchmark workloads
-# is the 50-long reduced-flow record at tolerance 1e-12 that genus1_period
-# scans when no shorter span shows the period: 122,633 evaluations (17.5k
-# steps).  The budget is over 12x that; a 3-long flow state spends it in
+# is the one-period reduced orbit of immersion.gamma_profile, forced to 2,048
+# steps: 12,301 evaluations.  The largest frame call (15-long state) takes
+# 3,001.  The budget is over 100x that; a 3-long flow state spends it in
 # about 10 s on a 2-core x86-64 virtual machine.
 MAX_RHS_EVALS = 1_500_000
 

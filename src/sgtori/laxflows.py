@@ -28,13 +28,15 @@ gamma satisfies u_xx + u_yy = -8 sinh 2u along the flow, equivalently
 latter.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import GridTooSmallError, StepCollapseError
 from .potentials import Potential, spectral_poly, u_matrix, v_matrix
+from .weierstrass import agm
 
 
 def lax_vector_fields(p):
@@ -271,68 +273,31 @@ def genus1_flow(s0, y_span, tol=1e-10, max_step=0.02):
                        Genus1State(state[0], state[1]))
 
 
-# The periods seen (0.26 to 1.5708) lie below pi/2, their small-amplitude
-# limit, so the orbit is first scanned over a span just past it.  The span
-# grows 4x at a time, up to _PERIOD_SPAN_MAX, only if two zero crossings of
-# alpha_hat are not found.
-_PERIOD_SPAN = 1.6
-_PERIOD_SPAN_MAX = 50.0
-_PERIOD_MAX_STEP = 0.01
+def genus1_period(s0):
+    """Period of the closed reduced-flow orbit through s0, in closed form.
 
+    On the level set A = alpha_hat^2 + beta_hat^2 + beta_hat^-2 the square
+    B = beta_hat^2 obeys (B')^2 = -16 B (B - rho)(B - 1/rho) with
 
-def genus1_period(s0, tol=1e-12):
-    """Period of the closed reduced-flow orbit through s0.
+        rho = 2 / (A + sqrt((A - 2)(A + 2))),
 
-    Detected from the two zero crossings of alpha_hat (the turning points of
-    beta_hat), refined by bisection on short re-integrations from the
-    record before each crossing.
+    so B(y) = wp(omega + 2i(y - y0)) - e3 on the curve at r = rho, and the
+    period is its imaginary half-period
+
+        T = |omega'| = pi / (2 AGM(1/sqrt(rho), sqrt(rho))).
+
+    This form of rho avoids the cancellation in the smaller root
+    (A - sqrt(A^2 - 4))/2.  A - 2 and A + 2 are taken as the sums of squares
+    alpha_hat^2 + (beta_hat -/+ 1/beta_hat)^2, so no rounding makes the
+    root's argument negative near the fixed point (0, 1).
     """
-    if abs(s0.alpha_hat) < 1e-14 and abs(s0.beta_hat - 1.0) < 1e-14:
+    a, b = s0.alpha_hat, s0.beta_hat
+    if abs(a) < 1e-14 and abs(b - 1.0) < 1e-14:
         raise ValueError("stationary state has no period")
-    span = _PERIOD_SPAN
-    while True:
-        orbit = genus1_flow(s0, span, tol=tol, max_step=_PERIOD_MAX_STEP)
-        crossings = _alpha_crossings(orbit, span, tol)
-        if len(crossings) == 2:
-            # consecutive zero crossings of alpha_hat are half a period apart
-            return 2.0 * (crossings[1] - crossings[0])
-        if span >= _PERIOD_SPAN_MAX:
-            raise StepCollapseError("period not detected within the search span")
-        span = min(4.0 * span, _PERIOD_SPAN_MAX)
-
-
-def _alpha_crossings(orbit, span, tol):
-    """Up to two zero crossings of alpha_hat on the record, bisected.
-
-    Below _PERIOD_SPAN_MAX a bracket is used only if no step up to its end
-    can have been shortened to stop on `span`: the records up to there, and
-    so the crossings, are then bit for bit those of the _PERIOD_SPAN_MAX
-    record.
-    """
-    a = orbit.alpha
-    t = orbit.y
-    last_free = span - 2.0 * _PERIOD_MAX_STEP
-    crossings = []
-    for i in range(1, len(a)):
-        if span < _PERIOD_SPAN_MAX and not t[i - 1] <= last_free:
-            break
-        if a[i - 1] == 0.0:
-            continue
-        if (a[i - 1] < 0) != (a[i] < 0):
-            # bisect on short re-integrations from the bracketing record state
-            base = Genus1State(a[i - 1], orbit.beta[i - 1])
-            lo, hi = 0.0, t[i] - t[i - 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                am = genus1_flow(base, mid, tol=tol).final.alpha_hat
-                if (am < 0) == (a[i - 1] < 0):
-                    lo = mid
-                else:
-                    hi = mid
-            crossings.append(t[i - 1] + 0.5 * (lo + hi))
-            if len(crossings) == 2:
-                break
-    return crossings
+    a2 = a * a
+    root = math.sqrt((a2 + (b - 1.0 / b) ** 2) * (a2 + (b + 1.0 / b) ** 2))
+    rho = 2.0 / (s0.a1_hat + root)
+    return math.pi / (2.0 * agm(1.0 / math.sqrt(rho), math.sqrt(rho)))
 
 
 def genus1_interpolant(orbit):

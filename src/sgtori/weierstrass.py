@@ -46,12 +46,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import ConsistencyError, DomainError, PoleError
 
 _NC = 56  # Laurent coefficients; plenty for |z|/r_min <= 0.4
 
 
-def _agm(a, b):
+def agm(a, b):
+    """Arithmetic-geometric mean of two positive floats."""
     for _ in range(64):
         if abs(a - b) <= 1e-17 * abs(a):
             break
@@ -117,11 +118,14 @@ def kernel_from_r(r):
     if r == 1.0:
         return EllipticKernel(r, e1, e2, e3, g2, g3, math.inf, 0.5j * math.pi,
                               None, -1j * math.pi / 6.0)
-    omega = math.pi / (2.0 * _agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2)))
-    omega_p = 1j * math.pi / (2.0 * _agm(math.sqrt(e1 - e3), math.sqrt(e2 - e3)))
+    omega = math.pi / (2.0 * agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2)))
+    omega_p = 1j * math.pi / (2.0 * agm(math.sqrt(e1 - e3), math.sqrt(e2 - e3)))
     coeffs = _series_coeffs(g2, g3)
+    horner = _horner_tuples(coeffs)
+    if not all(math.isfinite(c) for h in horner for c in h):
+        raise ConsistencyError(f"Laurent coefficients not finite at r = {r}")
     k = EllipticKernel(r, e1, e2, e3, g2, g3, omega, omega_p, 0j, 0j, coeffs,
-                       _horner_tuples(coeffs))
+                       horner)
     return replace(k, eta=_eval_raw(k, complex(omega))[2],
                    eta_p=_eval_raw(k, omega_p)[2])
 

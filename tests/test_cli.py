@@ -161,7 +161,7 @@ def test_figure3_stdout_identical_with_cold_and_warm_kernel_memo(capsys):
 
 
 FIGURE4_R07_R1_T3 = """\
-# config: {"command": "figure4", "format": "json", "jobs": 1, "r_list": "0.7,1.0", "t_steps": 3, "tol": 1e-08}
+# config: {"command": "figure4", "jobs": 1, "r_list": "0.7,1.0", "t_steps": 3, "tol": 1e-08}
 r,t,re_tau_hat,im_tau_hat,willmore
 0.69999999999999996,-0.92653103379238799,-0.15641615823110755,5.9787809056610071,61.133081354857396
 0.69999999999999996,0,0.0078934682496804107,0.99996884609421266,19.893189236590338
@@ -172,10 +172,10 @@ r,t,re_tau_hat,im_tau_hat,willmore
 """
 
 WILLMORE_R07_T03 = (
-    '{"config": {"command": "willmore", "format": "json", "grid": 192, '
-    '"jobs": 1, "r": 0.7, "t": 0.3, "tol": 1e-08}, "result": '
-    '{"direct": 23.566966749091996, "explicit": 23.566966749093385, '
-    '"rel_direct_vs_explicit": 5.894314118572067e-14, '
+    '{"config": {"command": "willmore", "grid": 192, '
+    '"r": 0.7, "t": 0.3, "tol": 1e-08}, "result": '
+    '{"direct": 23.566966749093396, "explicit": 23.566966749093385, '
+    '"rel_direct_vs_explicit": 4.522491651078312e-16, '
     '"rel_explicit_vs_residue": 2.2204077259299188e-11, '
     '"residue": 23.566966749616668}}\n')
 
@@ -226,12 +226,35 @@ def test_extreme_potentials_end_in_typed_errors(capsys, argv):
     ("lattice", "--gamma", "2", "--tol", "nan"),
     ("flow", "--gamma", "inf", "--to", "1", "0"),
     ("figure4", "--r-list", "0.7", "--t-steps", "0"),
+    ("figure3", "--r-list", "0.7", "--jobs", "0"),
+    ("figure4", "--r-list", "0.7", "--jobs", "-3"),
+    ("willmore", "--r", "0.7", "--jobs", "2"),
+    ("willmore", "--r", "0.7", "--format", "csv"),
+    ("figure3", "--r-list", "0.7", "--format", "json"),
 ])
 def test_parser_rejects_non_finite_and_empty_grids(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [("classify", "--a2", "1"),
+                                  ("classify", "--a1", "0", "0"),
+                                  ("lattice", "--a1", "0", "0")])
+def test_a1_and_a2_come_together(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--a1 and --a2" in err
+
+
+def test_tau_tiny_r_is_a_numerical_failure(capsys):
+    # the Laurent coefficients of the curve overflow at r <= 3e-7
+    code, out, err = run(capsys, "tau", "--r", "1e-9")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and "r = 1e-09" in err
 
 
 def test_emit_refuses_non_finite_values(capsys):
@@ -259,7 +282,7 @@ def test_immersion_export(tmp_path, capsys):
     (["immersion-export", "--r", "0.7", "--t", "0.2", "--grid", "6"],
      "7ca3046545fcfd28ea49aac792e0f13117610260c79cdaa4ad67ed1e39797f6e"),
     (["flow", "--gamma", "2", "--alpha", "0.3", "0.1", "--to", "1.3", "-0.7"],
-     "08a536a55b9906848421f517cd5a85dd3f0bcdd60270e5ae24b433402ecbb7a5"),
+     "2c3a86f9f5076f4022035c86da3e8fe98a2686495fcbdb82956e826a1a328a1e"),
 ])
 def test_stdout_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from sgtori.errors import FitResidualError
+from sgtori.errors import ConsistencyError, FitResidualError
 from sgtori.genus1 import Genus1Data, lattice_g1
 from sgtori.immersion import (closing_points_g1, conformality_defect,
                               gamma_profile, hopf_field_check, immersion,
@@ -149,6 +149,15 @@ class TestImmersion:
         ref = g0(zs)
         moved = g1(zs - delta)
         assert np.max(np.abs(moved - ref)) <= 1e-6
+
+    def test_gamma_profile_checks_that_the_orbit_closes(self, sample_m22,
+                                                          monkeypatch):
+        import sgtori.immersion as imm
+        s0 = Genus1State(0.0, 1.0 / math.sqrt(sample_m22.r))
+        _, period = gamma_profile(sample_m22, s0)
+        monkeypatch.setattr(imm, "genus1_period", lambda s: 0.9 * period)
+        with pytest.raises(ConsistencyError, match="misses its start"):
+            gamma_profile(sample_m22, s0)
 
 
 class TestWillmoreRoutes:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sgtori import kernels, laxflows
+from sgtori import kernels
 from sgtori.errors import GridTooSmallError
 from sgtori.genus1 import Genus1Data, lattice_g1, lift_genus1_potential, lift_state
 from sgtori.laxflows import (Genus1State, bracket_matrices, frame_at,
@@ -212,27 +212,48 @@ class TestGenus1Flow:
         s = Genus1State(0.0, 2.0)
         period = genus1_period(s)
         back = genus1_flow(s, period, tol=1e-12).final
-        assert abs(back.alpha_hat - s.alpha_hat) < 1e-6
-        assert abs(back.beta_hat - s.beta_hat) < 1e-6
+        assert abs(back.alpha_hat - s.alpha_hat) < 1e-10
+        assert abs(back.beta_hat - s.beta_hat) < 1e-10
 
-    @pytest.mark.parametrize("s0, ref", [
-        (Genus1State(0.0, 1.0 / math.sqrt(0.001)), 0.2622809365566791),
-        (Genus1State(0.0, 1.0 / math.sqrt(0.5)), 1.5248868380817076),
-        (Genus1State(0.0, 1.0 / math.sqrt(0.999)), 1.5707962285213717),
-        (Genus1State(3.0, 1.0), 1.1450002182027852),
-    ])
-    def test_period_pinned(self, s0, ref):
-        # values of the 50-long scan the period search used to run
-        assert abs(genus1_period(s0) - ref) <= 1e-15 * ref
+    def test_period_against_mpmath_agm(self):
+        # pi / (2 AGM(1/sqrt(rho), sqrt(rho))) at 30 digits, on the level
+        # of each float state; rho spans 1e-6 .. 1 - 1e-9 with alpha_hat != 0
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(20)
+        states = [Genus1State(3.0, 1.0)]
+        for r, f in zip(10.0 ** rng.uniform(-6.0, 0.0, 40),
+                        rng.uniform(-0.9, 0.9, 40)):
+            states.append(Genus1State(0.0, 1.0 / math.sqrt(r)))
+            states.append(state_on_level(f * (1.0 - r) / math.sqrt(r), r))
+        # near the fixed point (0, 1): 1 - rho ~ |alpha_hat| + 2|ln beta_hat|
+        for scale in np.geomspace(1e-9, 1e-1, 20):
+            a, c = scale * rng.uniform(-1.0, 1.0, 2)
+            states.append(Genus1State(a, math.exp(c)))
+        with mp.workdps(30):
+            for s in states:
+                a, b = mp.mpf(s.alpha_hat), mp.mpf(s.beta_hat)
+                big_a = a * a + b * b + 1 / (b * b)
+                rho = 2 / (big_a + mp.sqrt((big_a - 2) * (big_a + 2)))
+                ref = mp.pi / (2 * mp.agm(1 / mp.sqrt(rho), mp.sqrt(rho)))
+                assert abs(genus1_period(s) - ref) <= 2e-15 * ref
 
-    @pytest.mark.parametrize("first_span", [0.3, 0.765])
-    def test_period_bit_identical_when_the_span_grows(self, monkeypatch,
-                                                      first_span):
-        # r = 0.5 crosses zero at 0.762 and 1.525: 0.3 grows twice, and 0.765
-        # ends just past the first crossing, whose bracket must wait
-        monkeypatch.setattr(laxflows, "_PERIOD_SPAN", first_span)
-        period = genus1_period(Genus1State(0.0, 1.0 / math.sqrt(0.5)))
-        assert period == 1.5248868380817076
+    @pytest.mark.parametrize("s0, half", [
+        (Genus1State(0.0, 1.0 / math.sqrt(r)), Genus1State(0.0, math.sqrt(r)))
+        for r in (0.05, 0.3, 0.7, 0.99)
+    ] + [(Genus1State(3.0, 1.0), Genus1State(-3.0, 1.0))])
+    def test_period_against_the_flow(self, s0, half):
+        # half a period takes beta_hat^2 to the reciprocal turning point
+        # (the reduced equation is symmetric under B -> 1/B), a whole period
+        # back to s0
+        period = genus1_period(s0)
+        for span, end in ((0.5 * period, half), (period, s0)):
+            fin = genus1_flow(s0, span, tol=1e-12).final
+            assert abs(fin.alpha_hat - end.alpha_hat) <= 1e-10
+            assert abs(fin.beta_hat - end.beta_hat) <= 1e-10
+
+    def test_stationary_state_has_no_period(self):
+        with pytest.raises(ValueError):
+            genus1_period(Genus1State(0.0, 1.0))
 
     @pytest.mark.parametrize("r", [0.99, 0.999])
     def test_period_small_amplitude_limit(self, r):

@@ -175,6 +175,15 @@ class TestSinhGordon:
         assert 3.8 <= ratio <= 4.2
 
 
+def _mpmath_period(mp, s):
+    # pi / (2 AGM(1/sqrt(rho), sqrt(rho))) at 30 digits on the level of s
+    with mp.workdps(30):
+        a, b = mp.mpf(s.alpha_hat), mp.mpf(s.beta_hat)
+        big_a = a * a + b * b + 1 / (b * b)
+        rho = 2 / (big_a + mp.sqrt((big_a - 2) * (big_a + 2)))
+        return mp.pi / (2 * mp.agm(1 / mp.sqrt(rho), mp.sqrt(rho)))
+
+
 class TestGenus1Flow:
     def test_stationary(self):
         orbit = genus1_flow(Genus1State(0.0, 1.0), 3.0)
@@ -229,13 +238,24 @@ class TestGenus1Flow:
         for scale in np.geomspace(1e-9, 1e-1, 20):
             a, c = scale * rng.uniform(-1.0, 1.0, 2)
             states.append(Genus1State(a, math.exp(c)))
-        with mp.workdps(30):
-            for s in states:
-                a, b = mp.mpf(s.alpha_hat), mp.mpf(s.beta_hat)
-                big_a = a * a + b * b + 1 / (b * b)
-                rho = 2 / (big_a + mp.sqrt((big_a - 2) * (big_a + 2)))
-                ref = mp.pi / (2 * mp.agm(1 / mp.sqrt(rho), mp.sqrt(rho)))
-                assert abs(genus1_period(s) - ref) <= 2e-15 * ref
+        for s in states:
+            ref = _mpmath_period(mp, s)
+            assert abs(genus1_period(s) - ref) <= 2e-15 * ref
+
+    @pytest.mark.parametrize("s0, ref", [
+        (Genus1State(0.0, 1.0 / math.sqrt(0.001)), 0.2622809365566791),
+        (Genus1State(0.0, 1.0 / math.sqrt(0.5)), 1.5248868380817076),
+        (Genus1State(0.0, 1.0 / math.sqrt(0.999)), 1.5707962285213717),
+        (Genus1State(3.0, 1.0), 1.1450002182027852),
+    ])
+    def test_period_pinned(self, s0, ref):
+        # ref is the period the former ODE zero-crossing scan measured, good
+        # to 4e-13; the closed form is pinned to the 30-digit AGM period
+        mp = pytest.importorskip("mpmath").mp
+        period = genus1_period(s0)
+        exact = _mpmath_period(mp, s0)
+        assert abs(period - exact) <= 1e-15 * exact
+        assert abs(period - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("s0, half", [
         (Genus1State(0.0, 1.0 / math.sqrt(r)), Genus1State(0.0, math.sqrt(r)))

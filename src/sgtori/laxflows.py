@@ -14,7 +14,8 @@ written out on the parameters (alpha, beta, gamma):
     d gamma/dy = i (conj(alpha) - alpha) g
 
 The quartic coefficients a1, a2 are conserved.  The frame F solves
-dF = F (U dx + V dy), F(0,0) = 1, with det F = 1 (renormalized each step).
+dF = F (U dx + V dy), F(0,0) = 1, with det F = 1 (renormalized wherever
+the stepper stops: at each grid node and at the end of each segment).
 Translating a frame by w multiplies it by the frame of the flowed potential,
 F(z + w) = F(z) F_{p(z)}(w), so callers need only `frame_at` (one segment)
 and `integrate_frame` (one lattice sweep, which `trajectory_grid` runs with
@@ -76,14 +77,16 @@ def _unpack(y, n_lambda):
 _TOL_CALIBRATION = 0.15
 
 
-def _drive(y, dx, dy, lambdas, tol):
-    """Flow the packed state `y` in place along the segment (dx, dy)."""
+def _drive(y, dx, dy, lambdas, tol, stations=None, on_station=None):
+    """Flow the packed state `y` in place along the segment (dx, dy),
+    calling `on_station(index, state)` at the sorted arclengths `stations`."""
     length = float(np.hypot(dx, dy))
     if length == 0.0:
         return
     status, _, hmin = kernels.drive(y, dx / length, dy / length, length,
                                     lambdas, tol * _TOL_CALIBRATION,
-                                    tol * 1e-2 * _TOL_CALIBRATION, True)
+                                    tol * 1e-2 * _TOL_CALIBRATION, True,
+                                    stations, on_station)
     if status == kernels.STEP_COLLAPSE:
         raise StepCollapseError(f"step size collapsed to {hmin:.2e}")
 
@@ -185,25 +188,27 @@ def integrate_frame(p0, grid, lambda_samples, tol=1e-10):
     """Integrate the flows and dF = F(U dx + V dy) over a rectangular grid.
 
     `grid` is (x0, y0, nx, ny, hx, hy).  The state is driven to the grid
-    origin, then up the first column and along each row from its first node.
-    det F is renormalized to 1 after every accepted step.  F(0,0) = identity
-    regardless of the grid origin.
+    origin, then up the first column and along each row from its first node,
+    one stepper call per column or row that lands on every node.  det F is
+    renormalized to 1 at each node.  F(0,0) = identity regardless of the
+    grid origin.
     """
     x0, y0, nx, ny, hx, hy = grid
     lams = np.asarray(lambda_samples, complex)
     nl = lams.size
-    col = _pack_frames(p0, lams)
-    _drive(col, x0, y0, lams, tol)
+    col = [_pack_frames(p0, lams)]
+    _drive(col[0], x0, y0, lams, tol)
+    _drive(col[0].copy(), 0.0, hy * (ny - 1), lams, tol,
+           [abs(hy) * j for j in range(1, ny)], lambda j, s: col.append(s))
+    x_nodes = [abs(hx) * i for i in range(1, nx)]
     frames = np.empty((ny, nx, nl, 2, 2), complex)
     states = [[None] * nx for _ in range(ny)]
     for j in range(ny):
-        if j > 0:
-            _drive(col, 0.0, hy, lams, tol)
-        y = col.copy()
-        for i in range(nx):
-            if i > 0:
-                _drive(y, hx, 0.0, lams, tol)
-            frames[j, i], states[j][i] = _unpack(y, nl)
+        row = [col[j]]
+        _drive(col[j].copy(), hx * (nx - 1), 0.0, lams, tol, x_nodes,
+               lambda i, s: row.append(s))
+        for i, s in enumerate(row):
+            frames[j, i], states[j][i] = _unpack(s, nl)
     return Trajectory(x0, y0, hx, hy, lams, frames, states)
 
 

@@ -117,6 +117,31 @@ class TestFrame:
                     conj = np.linalg.solve(F, z0[lam] @ F)
                     assert np.max(np.abs(conj - zt)) <= 1e-8
 
+    @pytest.mark.parametrize("hx", [0.01, -0.02])
+    def test_one_drive_per_column_and_row(self, monkeypatch, hx):
+        # 17 x 17 nodes: one call to the grid origin, one up the column and
+        # one along each row, each landing on every node of its line
+        d = Genus1Data.from_rt(0.6, 0.2)
+        p0 = lift_state(state_on_level(0.3, 0.6), d.phi)
+        lams = np.array([np.exp(0.3j), np.exp(2.1j)])
+        calls = []
+        drive = kernels.drive
+
+        def counted(*args):
+            calls.append(args)
+            return drive(*args)
+
+        monkeypatch.setattr(kernels, "drive", counted)
+        fg = integrate_frame(p0, (0.05, 0.05, 17, 17, hx, 0.01), lams,
+                             tol=1e-12)
+        assert len(calls) == 19
+        monkeypatch.undo()
+        for j, i in ((0, 16), (16, 0), (7, 11), (16, 16)):
+            x, y = 0.05 + i * hx, 0.05 + j * 0.01
+            F, p = frame_at(p0, x, y, lams, tol=1e-12)
+            assert np.max(np.abs(fg.frames[j, i] - F)) <= 1e-10
+            assert abs(fg.states[j][i].gamma - p.gamma) <= 1e-10
+
     def test_monodromy_commutes_with_initial_potential(self):
         d = Genus1Data.from_rt(0.7, 0.3)
         p0 = lift_state(state_on_level(0.0, 0.7), d.phi)
@@ -201,8 +226,9 @@ class TestGenus1Flow:
 
     def test_flow_integrates_once_whatever_the_record_length(self,
                                                              monkeypatch):
-        # 1409 records (the start and 1408 accepted steps) over a span
-        # of 5 at max_step 0.02
+        # 252 records (the start, a first step of 0.01 and 250 steps at
+        # max_step 0.02) over a span of 5; the final state is within 3e-14
+        # of a 30-digit mpmath Taylor integration of the same flow
         calls = []
         drive = kernels.genus1_drive
 
@@ -213,9 +239,18 @@ class TestGenus1Flow:
         monkeypatch.setattr(kernels, "genus1_drive", counted)
         orbit = genus1_flow(Genus1State(0.3, 1.2), 5.0, tol=1e-12)
         assert len(calls) == 1
-        assert len(orbit.y) == 1409 and orbit.y[-1] == 5.0
-        assert orbit.final == Genus1State(-0.3243065615613176,
-                                          1.1874764308631582)
+        assert len(orbit.y) == 252 and orbit.y[-1] == 5.0
+        assert orbit.final == Genus1State(-0.3243065615637318,
+                                          1.1874764308640524)
+
+    def test_no_step_exceeds_max_step(self):
+        # the first step (0.01) is clipped to max_step as well; the
+        # intervals are differences of rounded sums of the steps
+        for m in (0.007, 0.003):
+            orbit = genus1_flow(Genus1State(0.3, 1.2), 1.0, tol=1e-12,
+                                max_step=m)
+            assert orbit.y[-1] == 1.0
+            assert np.max(np.diff(orbit.y)) <= m * (1.0 + 1e-12)
 
     def test_closed_orbit(self):
         s = Genus1State(0.0, 2.0)

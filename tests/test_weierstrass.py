@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -161,3 +162,27 @@ def test_pole_error():
     kd = kernel_from_r(1.0)
     with pytest.raises(PoleError):
         wp(kd, 1j * math.pi)
+
+
+def test_agm_stops_when_the_pair_repeats(monkeypatch):
+    # 39 of these 200 r values settle on two adjacent floats, which a stop
+    # rule of |a - b| <= 1e-17 |a| ran for all 64 iterations
+    from sgtori import weierstrass
+    mp = pytest.importorskip("mpmath").mp
+    calls = []
+
+    def sqrt(x):
+        calls.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(weierstrass, "math", types.SimpleNamespace(sqrt=sqrt))
+    rng = np.random.default_rng(3)
+    for r in 10.0 ** rng.uniform(-6.0, 0.0, 200):
+        a, b = 1.0 / math.sqrt(r), math.sqrt(r)
+        calls.clear()
+        m = weierstrass.agm(a, b)
+        # one square root per step, and one more for the repeated pair
+        assert len(calls) <= 9
+        with mp.workdps(30):
+            ref = float(mp.agm(a, b))
+        assert abs(m - ref) <= 1e-15 * m

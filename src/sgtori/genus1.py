@@ -82,6 +82,13 @@ class Genus1Data:
     @classmethod
     def from_rt(cls, r, t):
         k = ws.kernel_from_r(r)
+        # z_+ runs once around the fixed-point component as t runs over
+        # [-omega, omega], whose ends meet at the seam phi = 0; omega is inf
+        # at r = 1
+        if not abs(t) <= k.omega:
+            raise DomainError(
+                f"t must lie in [-omega, omega] with omega = {k.omega:.6g} "
+                f"at r = {r}, got {t}")
         zp = 0.5 * k.omega_p + t
         p, dp, ztp = ws.wp_all(k, zp)
         lhp = k.e3 - p
@@ -123,7 +130,8 @@ class Genus1Data:
             step = (err / (2.0 * nh)).real
             step = max(-0.2 * tmax, min(0.2 * tmax, step))
             t += step
-        d = cls.from_rt(r, t)
+        # at the seam phi = 0 Newton converges on +-omega, to rounding
+        d = cls.from_rt(r, max(-k.omega, min(k.omega, t)))
         # the t-chart determines phi only mod pi/2 (lam -> -lam symmetry);
         # keep the requested value, which the lift depends on
         phi = phi % _PI

@@ -353,15 +353,16 @@ def gamma_profile(d, s0=None):
 
     gamma depends only on y_hat(z) = -Re(e^{i phi} z), through the reduced
     orbit through s0; periodic with the orbit period (constant at r = 1).
-    The orbit is integrated over the closed-form period, and must return to
-    s0 within 1e-8.
+    The orbit is integrated over the closed-form period at the stepper's own
+    step size, must return to s0 within 1e-8, and is read off its dense
+    output.
     """
     if s0 is None:
         s0 = Genus1State(0.0, 1.0 / math.sqrt(d.r))
     if d.kernel.degenerate and abs(s0.beta_hat - 1.0) < 1e-13 and s0.alpha_hat == 0.0:
         return lambda z: np.ones_like(np.real(z)), math.inf
     period = genus1_period(s0)
-    orbit = genus1_flow(s0, period, max_step=period / 2048.0)
+    orbit = genus1_flow(s0, period, tol=1e-12, max_step=math.inf)
     closure = math.hypot(orbit.final.alpha_hat - s0.alpha_hat,
                          orbit.final.beta_hat - s0.beta_hat)
     if closure > 1e-8:

@@ -14,8 +14,9 @@ written out on the parameters (alpha, beta, gamma):
     d gamma/dy = i (conj(alpha) - alpha) g
 
 The quartic coefficients a1, a2 are conserved.  The frame F solves
-dF = F (U dx + V dy), F(0,0) = 1, with det F = 1 (renormalized wherever
-the stepper stops: at each grid node and at the end of each segment).
+dF = F (U dx + V dy), F(0,0) = 1, with det F = 1 (rescaled at the end of
+each stepper call, and at each grid node read off the stepper's dense
+output).
 Translating a frame by w multiplies it by the frame of the flowed potential,
 F(z + w) = F(z) F_{p(z)}(w), so callers need only `frame_at` (one segment)
 and `integrate_frame` (one lattice sweep, which `trajectory_grid` runs with
@@ -77,18 +78,36 @@ def _unpack(y, n_lambda):
 _TOL_CALIBRATION = 0.15
 
 
-def _drive(y, dx, dy, lambdas, tol, stations=None, on_station=None):
-    """Flow the packed state `y` in place along the segment (dx, dy),
-    calling `on_station(index, state)` at the sorted arclengths `stations`."""
+def _drive(y, dx, dy, lambdas, tol, dense=None):
+    """Flow the packed state `y` in place along the segment (dx, dy);
+    `dense` receives the stepper's dense output in arclength."""
     length = float(np.hypot(dx, dy))
     if length == 0.0:
         return
     status, _, hmin = kernels.drive(y, dx / length, dy / length, length,
                                     lambdas, tol * _TOL_CALIBRATION,
                                     tol * 1e-2 * _TOL_CALIBRATION, True,
-                                    stations, on_station)
+                                    dense)
     if status == kernels.STEP_COLLAPSE:
         raise StepCollapseError(f"step size collapsed to {hmin:.2e}")
+
+
+def _line_nodes(y, dx, dy, n, lambdas, tol):
+    """Packed states at n evenly spaced nodes from `y` to `y` flowed by
+    (dx, dy), the first being `y` itself: one stepper call, the others read
+    off its dense output with each frame rescaled to det 1.  `y` is left
+    unchanged."""
+    if n == 1:
+        return [y]
+    dense = []
+    _drive(y.copy(), dx, dy, lambdas, tol, dense)
+    nodes = kernels.dense_eval(dense, math.hypot(dx, dy) / (n - 1)
+                               * np.arange(1, n))
+    f11, f12, f21, f22 = (nodes[:, 3 + k::4] for k in range(4))
+    det_root = np.sqrt(f11 * f22 - f12 * f21)
+    for f in (f11, f12, f21, f22):
+        f /= det_root
+    return [y, *nodes]
 
 
 def frame_at(p0, x, y, lambda_samples, tol=1e-10):
@@ -189,24 +208,20 @@ def integrate_frame(p0, grid, lambda_samples, tol=1e-10):
 
     `grid` is (x0, y0, nx, ny, hx, hy).  The state is driven to the grid
     origin, then up the first column and along each row from its first node,
-    one stepper call per column or row that lands on every node.  det F is
-    renormalized to 1 at each node.  F(0,0) = identity regardless of the
-    grid origin.
+    one stepper call per column or row at the stepper's own step size; the
+    nodes are read off its dense output, and their frames rescaled to
+    det F = 1.  F(0,0) = identity regardless of the grid origin.
     """
     x0, y0, nx, ny, hx, hy = grid
     lams = np.asarray(lambda_samples, complex)
     nl = lams.size
-    col = [_pack_frames(p0, lams)]
-    _drive(col[0], x0, y0, lams, tol)
-    _drive(col[0].copy(), 0.0, hy * (ny - 1), lams, tol,
-           [abs(hy) * j for j in range(1, ny)], lambda j, s: col.append(s))
-    x_nodes = [abs(hx) * i for i in range(1, nx)]
+    start = _pack_frames(p0, lams)
+    _drive(start, x0, y0, lams, tol)
+    col = _line_nodes(start, 0.0, hy * (ny - 1), ny, lams, tol)
     frames = np.empty((ny, nx, nl, 2, 2), complex)
     states = [[None] * nx for _ in range(ny)]
     for j in range(ny):
-        row = [col[j]]
-        _drive(col[j].copy(), hx * (nx - 1), 0.0, lams, tol, x_nodes,
-               lambda i, s: row.append(s))
+        row = _line_nodes(col[j], hx * (nx - 1), 0.0, nx, lams, tol)
         for i, s in enumerate(row):
             frames[j, i], states[j][i] = _unpack(s, nl)
     return Trajectory(x0, y0, hx, hy, lams, frames, states)
@@ -254,28 +269,30 @@ class Genus1State:
 
 @dataclass
 class Genus1Orbit:
-    """Dense record of the reduced flow: y-values, states and derivatives."""
+    """Record of the reduced flow: the y-value and state after each accepted
+    step, and the stepper's dense output over them."""
     y: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     final: Genus1State
+    dense: list
 
 
 def genus1_flow(s0, y_span, tol=1e-10, max_step=0.02):
     """Integrate the reduced flow d alpha/dy = 2(b^-2 - b^2), d beta/dy = 2ab.
 
     The x-direction acts trivially on the state.  Returns a Genus1Orbit with
-    a dense record of every accepted step (cubic Hermite data for
-    interpolation; derivative values follow from the right-hand side).
+    the state after every accepted step and the stepper's 7th-order dense
+    output, which `genus1_interpolant` evaluates.
     """
     state = np.array([s0.alpha_hat, s0.beta_hat])
-    status, _, rec = kernels.genus1_drive(state, float(y_span), tol,
-                                          tol * 1e-2, max_step)
+    status, _, rec, dense = kernels.genus1_drive(state, float(y_span), tol,
+                                                 tol * 1e-2, max_step)
     if status == kernels.STEP_COLLAPSE:
         raise StepCollapseError("reduced flow step collapsed")
     a, b = np.array([ab for _, ab in rec]).T
     return Genus1Orbit(np.array([t for t, _ in rec]), a, b,
-                       Genus1State(state[0], state[1]))
+                       Genus1State(state[0], state[1]), dense)
 
 
 def genus1_period(s0):
@@ -306,24 +323,10 @@ def genus1_period(s0):
 
 
 def genus1_interpolant(orbit):
-    """Cubic Hermite interpolant y -> (alpha_hat(y), beta_hat(y))."""
-    t = orbit.y
-    a = orbit.alpha
-    b = orbit.beta
-    da = 2.0 * (b ** -2 - b ** 2)
-    db = 2.0 * a * b
-
+    """Interpolant y -> (alpha_hat(y), beta_hat(y)) over the orbit's span:
+    the degree-7 dense output of each step."""
     def interp(yq):
-        yq = np.asarray(yq, float)
-        idx = np.clip(np.searchsorted(t, yq) - 1, 0, len(t) - 2)
-        h = t[idx + 1] - t[idx]
-        s = (yq - t[idx]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        av = h00 * a[idx] + h10 * h * da[idx] + h01 * a[idx + 1] + h11 * h * da[idx + 1]
-        bv = h00 * b[idx] + h10 * h * db[idx] + h01 * b[idx + 1] + h11 * h * db[idx + 1]
-        return av, bv
+        ab = kernels.dense_eval(orbit.dense, yq)
+        return ab[..., 0], ab[..., 1]
 
     return interp

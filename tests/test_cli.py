@@ -174,8 +174,8 @@ r,t,re_tau_hat,im_tau_hat,willmore
 WILLMORE_R07_T03 = (
     '{"config": {"command": "willmore", "grid": 192, '
     '"r": 0.7, "t": 0.3, "tol": 1e-08}, "result": '
-    '{"direct": 23.566966749093396, "explicit": 23.566966749093385, '
-    '"rel_direct_vs_explicit": 4.522491651078312e-16, '
+    '{"direct": 23.56696674909534, "explicit": 23.566966749093385, '
+    '"rel_direct_vs_explicit": 8.291234693643572e-14, '
     '"rel_explicit_vs_residue": 2.2204077259299188e-11, '
     '"residue": 23.566966749616668}}\n')
 
@@ -249,6 +249,17 @@ def test_a1_and_a2_come_together(capsys, argv):
     assert "--a1 and --a2" in err
 
 
+@pytest.mark.parametrize("argv", [("willmore", "--r", "0.7", "--t", "50"),
+                                  ("tau", "--r", "0.7", "--t", "5"),
+                                  ("tau", "--r", "0.7", "--t", "-1.6")])
+def test_t_outside_the_family_is_a_domain_error(capsys, argv):
+    # omega = 1.544 at r = 0.7; t in [-omega, omega] covers the family once
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domain error:") and "[-omega, omega]" in err
+
+
 def test_tau_tiny_r_is_a_numerical_failure(capsys):
     # the Laurent coefficients of the curve overflow at r <= 3e-7
     code, out, err = run(capsys, "tau", "--r", "1e-9")
@@ -282,7 +293,7 @@ def test_immersion_export(tmp_path, capsys):
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(
         ["immersion-export", "--r", "0.7", "--t", "0.2", "--grid", "6"],
-        "c8c19d34587100aee2b2a7534bb1b313f3a332937ee2deae991befcb152de682",
+        "4c571f248a2614857736db62b913ca38b5d69a3ff9a6de602dc56e76a0d9d897",
         id="immersion-export"),
     pytest.param(
         ["flow", "--gamma", "2", "--alpha", "0.3", "0.1", "--to", "1.3",

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from sgtori import weierstrass as ws
 from sgtori.errors import ConsistencyError, FitResidualError
 from sgtori.genus1 import Genus1Data, lattice_g1
 from sgtori.immersion import (closing_points_g1, conformality_defect,
@@ -158,6 +159,37 @@ class TestImmersion:
         monkeypatch.setattr(imm, "genus1_period", lambda s: 0.9 * period)
         with pytest.raises(ConsistencyError, match="misses its start"):
             gamma_profile(sample_m22, s0)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7, 0.99])
+def test_gamma_profile_against_wp(r):
+    # on the orbit through (0, 1/sqrt(r)), beta_hat(y)^2 = wp(omega + 2iy) - e3
+    # on the curve at r: the ODE profile against the Weierstrass evaluator.
+    # (Below r = 0.3 the evaluator itself drifts near omega + omega'.)
+    d = Genus1Data.from_rt(r, 0.0)
+    k = ws.kernel_from_r(r)
+    gamma, period = gamma_profile(d)
+    y = np.random.default_rng(30).uniform(0.0, period, 50)
+    # y_hat(-y e^{-i phi}) = y
+    g = gamma(-y * np.exp(-1j * d.phi))
+    ref = np.array([ws.wp(k, k.omega + 2j * v) - k.e3 for v in y])
+    assert np.max(np.abs(g * g - ref)) <= 1e-10
+
+
+def test_gamma_profile_work_bound(monkeypatch):
+    # the orbit at (0.6, 0.1) takes 641 evaluations at the stepper's own
+    # pace; 2,048 forced steps took 24,577
+    from sgtori import kernels
+    rhs = kernels.genus1_rhs
+    calls = []
+
+    def counted(y):
+        calls.append(None)
+        return rhs(y)
+
+    monkeypatch.setattr(kernels, "genus1_rhs", counted)
+    gamma_profile(Genus1Data.from_rt(0.6, 0.1))
+    assert 0 < len(calls) <= 2_000
 
 
 class TestWillmoreRoutes:

@@ -89,6 +89,28 @@ def test_one_step_matches_scipy_dop853():
     assert rec[0][0] == ref.t == 0.04
     assert np.max(np.abs(np.array(rec[0][1]) - ref.y)) <= 1e-15
     assert abs((rec[1][0] - rec[0][0]) / ref.h_abs - 1.0) <= 1e-6
+    # the extra stages and the D vectors give scipy's interpolant
+    dense = []
+    kernels._dop853(kernels.genus1_rhs, y0, 1.0, 1e-9, 1e-11, 0.04, math.inf,
+                    1, dense=dense)
+    ts = np.array([0.003, 0.011, 0.02, 0.029, 0.037])
+    assert np.max(np.abs(kernels.dense_eval(dense, ts)
+                         - ref.dense_output()(ts).T)) <= 1e-15
+
+
+def test_dense_output_leaves_the_steps_unchanged():
+    # the three extra stages feed nothing back into the step
+    f = lambda s: kernels.rhs(s, 0.6, -0.8, (), ())
+    start = [COLLAPSE_POTENTIAL.alpha, COLLAPSE_POTENTIAL.beta,
+             COLLAPSE_POTENTIAL.gamma]
+    plain, with_dense, dense = [], [], []
+    kernels._dop853(f, start, 2.0, 1e-10, 1e-12, 0.1, math.inf, 2,
+                    record=plain)
+    kernels._dop853(f, start, 2.0, 1e-10, 1e-12, 0.1, math.inf, 2,
+                    record=with_dense, dense=dense)
+    assert plain == with_dense
+    assert len(dense) == len(plain)
+    assert [seg[0] + seg[1] for seg in dense] == [t for t, _ in plain]
 
 
 def test_closing_leg_work_bound(closing_leg, monkeypatch):
@@ -109,53 +131,40 @@ def test_closing_leg_work_bound(closing_leg, monkeypatch):
         assert 0 < len(calls) <= 600
 
 
-def test_stations_match_node_by_node_frames(closing_leg):
+def test_dense_output_matches_node_by_node_frames(closing_leg):
+    # one call over w_hat at the stepper's own pace, with the tolerances
+    # laxflows sets for tol 1e-12; its dense output at seven nodes against
+    # frames integrated to each node at that tol.  (The interpolant's error
+    # is not what the step control measures: at 10x these tolerances it
+    # reaches 1e-11 on alpha and beta, within tol 1e-11.)
     p0, lams, w_hat = closing_leg
     w = w_hat[0]
     length = abs(w)
-    stations = [length * k / 7 for k in range(1, 8)]
+    nodes = [length * k / 7 for k in range(1, 8)]
     y = _pack_frames(p0, lams)
-    seen = []
-    status, _, _ = kernels.drive(y, w.real / length, w.imag / length, length,
-                                 lams, 1.5e-12, 1.5e-14, True, stations,
-                                 lambda i, s: seen.append((i, s)))
-    assert status == kernels.OK
-    assert [i for i, _ in seen] == list(range(7))
-    assert seen[-1][1].tobytes() == y.tobytes()
-    for (_, s), d in zip(seen, stations):
+    dense = []
+    status, n_acc, _ = kernels.drive(y, w.real / length, w.imag / length,
+                                     length, lams, 1.5e-13, 1.5e-15, True,
+                                     dense)
+    assert status == kernels.OK and len(dense) == n_acc
+    states = kernels.dense_eval(dense, nodes)
+    assert np.max(np.abs(states[-1] - y)) <= 1e-13
+    for s, d in zip(states, nodes):
         F, p = frame_at(p0, w.real * d / length, w.imag * d / length, lams,
-                        tol=1e-11)
+                        tol=1e-12)
         assert np.max(np.abs(s[3:].reshape(-1, 2, 2) - F)) <= 1e-12
         assert abs(s[0] - p.alpha) + abs(s[1] - p.beta) <= 1e-12
 
 
-def test_stations_are_landed_on_exactly():
-    stations = [0.1 * k for k in range(1, 11)] + [1.05]
-    rec, seen = [], []
-    status, y, _, _ = kernels._dop853(
-        kernels.genus1_rhs, [0.3, 1.2], 1.1, 1e-10, 1e-12, 0.01, math.inf, 1,
-        record=rec, stations=stations,
-        on_station=lambda i, s: seen.append((i, s)))
-    assert status == kernels.OK and rec[-1][0] == 1.1
-    assert [i for i, _ in seen] == list(range(len(stations)))
-    at = dict(rec)
-    for (_, s), t in zip(seen, stations):
-        assert at[t] is s
-    # the step after a clipped landing resumes from the unclipped h, which
-    # the controller, growing h at most 5x per step, could not reach
-    steps = np.diff([t for t, _ in rec])
-    assert np.max(steps[1:] / steps[:-1]) > kernels._MAX_FACTOR
-
-
 def test_det_drift_over_a_closing_leg(closing_leg):
     # without renormalisation the frames keep det F = 1 to well inside
-    # 1e-12 over a whole w_hat leg; renormalising lands it on 1
+    # 1e-12 over a whole w_hat leg; renormalising at the end lands it on 1
     p0, lams, w_hat = closing_leg
     for w in w_hat:
         length = abs(w)
         for renorm, bound in ((False, 1e-12), (True, 1e-15)):
             y = _pack_frames(p0, lams)
             kernels.drive(y, w.real / length, w.imag / length, length, lams,
-                          1.5e-12, 1.5e-14, renorm, [length / 2, length])
+                          1.5e-12, 1.5e-14, renorm)
             det = [np.linalg.det(F) for F in y[3:].reshape(-1, 2, 2)]
             assert np.max(np.abs(np.array(det) - 1.0)) <= bound

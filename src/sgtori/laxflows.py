@@ -269,11 +269,9 @@ class Genus1State:
 
 @dataclass
 class Genus1Orbit:
-    """Record of the reduced flow: the y-value and state after each accepted
-    step, and the stepper's dense output over them."""
+    """Record of the reduced flow: the y-value after each accepted step, the
+    final state, and the stepper's dense output over the steps."""
     y: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     final: Genus1State
     dense: list
 
@@ -282,16 +280,15 @@ def genus1_flow(s0, y_span, tol=1e-10, max_step=0.02):
     """Integrate the reduced flow d alpha/dy = 2(b^-2 - b^2), d beta/dy = 2ab.
 
     The x-direction acts trivially on the state.  Returns a Genus1Orbit with
-    the state after every accepted step and the stepper's 7th-order dense
-    output, which `genus1_interpolant` evaluates.
+    the stepper's 7th-order dense output, which `genus1_interpolant`
+    evaluates.
     """
     state = np.array([s0.alpha_hat, s0.beta_hat])
     status, _, rec, dense = kernels.genus1_drive(state, float(y_span), tol,
                                                  tol * 1e-2, max_step)
     if status == kernels.STEP_COLLAPSE:
         raise StepCollapseError("reduced flow step collapsed")
-    a, b = np.array([ab for _, ab in rec]).T
-    return Genus1Orbit(np.array([t for t, _ in rec]), a, b,
+    return Genus1Orbit(np.array([t for t, _ in rec]),
                        Genus1State(state[0], state[1]), dense)
 
 

@@ -35,7 +35,23 @@ Every integrand is b(lam)/(2 nu lam) with b cubic, so every A- and B-integral
 is a linear combination of the sixteen moments of lam^k/(2 nu lam) dlam,
 k = 0..3, over A1, A2, B1, B2.  `period_table` computes them with one
 quadrature per cycle; the solve for b_w, the B-period map, the residual
-checks and the monodromy signs are linear algebra on that table.
+checks and the monodromy signs are linear algebra on that table.  Each
+capsule is checked by its winding numbers about the two enclosed and the
+excluded branch points, all taken from one sampling of the contour.
+
+Monodromy signs (`mu_at_roots`) continue ln mu from the puncture at 0 to each
+root.  The path starts at a base point lam0 with |lam0| = 0.04, in the
+direction farthest from the roots, and runs over straight legs to a point at
+distance rho of the root, bent round the other roots and 0.  Every obstacle
+keeps a clearance min(0.3 |root|, 0.4 sep) (sep the least root separation),
+except one nearer lam0 than that, the puncture, which keeps half its
+distance to lam0: a leg from lam0 could never clear more.  A pass bends each
+leg that comes too close round its worst obstacle, and the path is done
+after a pass that changes nothing; on every draw of
+perfbench/g2_potentials.json that takes one or two legs.  A path still too close after 16 passes raises
+PathIntegrationError.  The signs do not depend on the path: another
+homotopy class changes ln mu by B-periods in 2 pi i Z, or negates it on the
+other sheet.
 """
 
 import cmath
@@ -54,10 +70,18 @@ _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
 
 @dataclass(frozen=True)
 class HyperCurve:
-    """Classified quartic plus the ordered branch points of nu^2 = -lam a."""
+    """Classified quartic plus the ordered branch points of nu^2 = -lam a.
+
+    `exact_roots` holds the four roots of a when they were given exactly
+    (`from_roots`); a is then evaluated as their product, which keeps its
+    relative accuracy next to a root cluster, where the expanded
+    coefficients lose all of it.  It is empty for `from_quartic` curves,
+    which evaluate the quartic's coefficients.
+    """
     quartic: object
     alpha: tuple          # the two roots inside the unit disc
     partners: tuple       # 1/conj(alpha_i)
+    exact_roots: tuple = ()
 
     @classmethod
     def from_quartic(cls, q):
@@ -78,17 +102,18 @@ class HyperCurve:
         q = type(q0)(q0.a1, q0.a2,
                      roots=tuple((r, 1) for r in roots),
                      cls=SpectralClass.M21)
-        return cls._with_roots(q, roots)
+        return cls._with_roots(q, roots, exact=True)
 
     @classmethod
-    def _with_roots(cls, q, roots):
+    def _with_roots(cls, q, roots, exact=False):
         """alpha: the two roots inside the unit disc, by modulus."""
         inside = sorted((r for r in roots if abs(r) < 1.0),
                         key=lambda z: (abs(z), z.real, z.imag))
         if len(inside) != 2:
             raise ClassError("expected two roots inside the unit disc")
         partners = tuple(1.0 / np.conj(r) for r in inside)
-        return cls(q, tuple(inside), partners)
+        return cls(q, tuple(inside), partners,
+                   tuple(roots) if exact else ())
 
     @property
     def branch_points(self):
@@ -99,10 +124,14 @@ class HyperCurve:
         return self.alpha + self.partners
 
     def a_of(self, lam):
+        """a(lam), as the monic product over `exact_roots` when known."""
+        if self.exact_roots:
+            r0, r1, r2, r3 = self.exact_roots
+            return (lam - r0) * (lam - r1) * (lam - r2) * (lam - r3)
         return self.quartic(lam)
 
     def nu_sq(self, lam):
-        return -lam * self.quartic(lam)
+        return -lam * self.a_of(lam)
 
 
 # --- contours ---------------------------------------------------------------
@@ -118,6 +147,11 @@ class Arc:
     def point(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
         return self.center + self.radius * np.exp(1j * th)
+
+    def point_at(self, s):
+        """point() at one Python float s, as a Python complex."""
+        th = self.th0 + s * (self.th1 - self.th0)
+        return self.center + self.radius * cmath.exp(1j * th)
 
     def dpoint(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
@@ -136,6 +170,8 @@ class Segment:
     def point(self, s):
         return self.z0 + s * (self.z1 - self.z0)
 
+    point_at = point
+
     def dpoint(self, s):
         return (self.z1 - self.z0) * np.ones_like(s)
 
@@ -149,14 +185,17 @@ class Contour:
     pieces: list
     label: str = ""
 
-    def winding(self, pt, n=4096):
+    def windings(self, pts, n=4096):
+        """Winding numbers about each of pts, from one midpoint sampling of
+        the contour (n samples per piece) shared by all the points."""
         s = (np.arange(n) + 0.5) / n
-        total = 0.0
-        for p in self.pieces:
-            lam = p.point(s)
-            dl = p.dpoint(s) / n
-            total += float(np.sum((dl / (lam - pt)).imag))
-        return round(total / (2.0 * math.pi))
+        lam = np.concatenate([p.point(s) for p in self.pieces])
+        dl = np.concatenate([p.dpoint(s) for p in self.pieces]) / n
+        return [round(float(np.sum((dl / (lam - pt)).imag)) / (2.0 * math.pi))
+                for pt in pts]
+
+    def winding(self, pt, n=4096):
+        return self.windings([pt], n)[0]
 
     def min_distance(self, pts, n=2048):
         s = (np.arange(n) + 0.5) / n
@@ -265,16 +304,12 @@ def capsule_around(p, q, excluded, min_width=1e-9):
     w = 0.45 * d
     cont = (_straight_capsule(p, q, w) if kind == "straight"
             else _arc_capsule(p, q, sag, w)[0])
-    for pt in (p, q):
-        if cont.winding(pt) not in (1, -1):
-            raise ContourError("constructed contour misses an included point")
-    wind_ref = cont.winding(p)
-    if wind_ref == -1:
-        cont = reverse_contour(cont)
-    for e in excluded:
-        if cont.winding(e) != 0:
-            raise ContourError("constructed contour encloses an excluded point")
-    return cont
+    wind_p, wind_q, *wind_excl = cont.windings([p, q, *excluded])
+    if wind_p not in (1, -1) or wind_q not in (1, -1):
+        raise ContourError("constructed contour misses an included point")
+    if any(wind_excl):
+        raise ContourError("constructed contour encloses an excluded point")
+    return reverse_contour(cont) if wind_p == -1 else cont
 
 
 def reverse_contour(c):
@@ -331,10 +366,11 @@ def _panelize(piece, branch_points, base_panels):
     stack = [(i / base_panels, (i + 1) / base_panels)
              for i in range(base_panels - 1, -1, -1)]
     total = piece.length
+    branch_points = [complex(b) for b in branch_points]
     while stack:
         s0, s1 = stack.pop()
         plen = total * (s1 - s0)
-        mid = piece.point(np.array([0.5 * (s0 + s1)]))[0]
+        mid = piece.point_at(0.5 * (s0 + s1))
         dist = min(abs(mid - b) for b in branch_points)
         if plen > 0.45 * dist and (s1 - s0) > 2.0 ** -26:
             sm = 0.5 * (s0 + s1)
@@ -391,7 +427,7 @@ def nu_on_contour(curve, contour, n=2048):
     s = (np.arange(n) + 0.5) / n
     lam = np.concatenate([p.point(s) for p in contour.pieces])
     nu = _track_nu(curve, lam)
-    total_winding = sum(abs(contour.winding(b)) for b in curve.branch_points)
+    total_winding = sum(abs(k) for k in contour.windings(curve.branch_points))
     back = _track_nu(curve, lam[:1], start=nu[-1])[0]
     rel = abs(nu[0] - back) / max(abs(nu[0]), 1e-300)
     flipped = rel > 1.0
@@ -610,33 +646,46 @@ def _segment_quad(f, z0, z1, n_panels=8):
     return np.sum(_GW * f(z) * half)
 
 
+_PATH_PASSES = 16
+
+
 def _avoiding_path(z0, z1, obstacles, clearance):
-    """Waypoints from z0 to z1 keeping `clearance` from the obstacles."""
+    """Waypoints from z0 to z1 keeping each obstacle's clearance.
+
+    An obstacle gets `clearance`, or half its distance to z0 when it lies
+    closer to z0 than that (z0 itself could not clear it).  A pass bends
+    every leg that comes too close to an obstacle round its worst one; the
+    path is done after a pass that changes nothing.
+    """
+    clear = [(o, clearance if abs(o - z0) >= clearance else abs(o - z0) / 2.0)
+             for o in obstacles]
     path = [z0, z1]
-    for _ in range(16):
+    for _ in range(_PATH_PASSES):
         changed = False
         out = [path[0]]
         for a, b in zip(path, path[1:]):
             worst = None
-            for o in obstacles:
+            for o, c in clear:
                 d = _seg_distance(a, b, o)
-                if d < clearance and min(abs(o - a), abs(o - b)) > 1e-12:
-                    if worst is None or d < worst[0]:
-                        worst = (d, o)
+                if d < c and min(abs(o - a), abs(o - b)) > 1e-12:
+                    if worst is None or d / c < worst[0]:
+                        worst = (d / c, o, c)
             if worst is not None:
-                o = worst[1]
+                _, o, c = worst
                 dvec = b - a
                 n = 1j * dvec / abs(dvec)
                 t = ((o - a) * np.conj(dvec)).real / abs(dvec) ** 2
                 foot = a + t * dvec
                 side = 1.0 if ((o - foot) * np.conj(n)).real < 0 else -1.0
-                out.append(o + side * 2.0 * clearance * n)
+                out.append(o + side * 2.0 * c * n)
                 changed = True
             out.append(b)
         path = out
         if not changed:
-            break
-    return path
+            return path
+    raise PathIntegrationError(
+        f"no path from {z0} to {z1} clears the obstacles in {_PATH_PASSES} "
+        "passes")
 
 
 def mu_at_roots(curve, lattice, omega, tol=1e-4):

@@ -362,7 +362,7 @@ def gamma_profile(d, s0=None):
     if d.kernel.degenerate and abs(s0.beta_hat - 1.0) < 1e-13 and s0.alpha_hat == 0.0:
         return lambda z: np.ones_like(np.real(z)), math.inf
     period = genus1_period(s0)
-    orbit = genus1_flow(s0, period, tol=1e-12, max_step=math.inf)
+    orbit = genus1_flow(s0, period, tol=1e-12)
     closure = math.hypot(orbit.final.alpha_hat - s0.alpha_hat,
                          orbit.final.beta_hat - s0.beta_hat)
     if closure > 1e-8:

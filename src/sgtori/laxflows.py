@@ -276,12 +276,13 @@ class Genus1Orbit:
     dense: list
 
 
-def genus1_flow(s0, y_span, tol=1e-10, max_step=0.02):
+def genus1_flow(s0, y_span, tol=1e-10, max_step=math.inf):
     """Integrate the reduced flow d alpha/dy = 2(b^-2 - b^2), d beta/dy = 2ab.
 
-    The x-direction acts trivially on the state.  Returns a Genus1Orbit with
-    the stepper's 7th-order dense output, which `genus1_interpolant`
-    evaluates.
+    The x-direction acts trivially on the state.  Steps are bounded by
+    `max_step` only when the caller gives one; the tolerance alone sets them
+    otherwise.  Returns a Genus1Orbit with the stepper's 7th-order dense
+    output, which `genus1_interpolant` evaluates.
     """
     state = np.array([s0.alpha_hat, s0.beta_hat])
     status, _, rec, dense = kernels.genus1_drive(state, float(y_span), tol,

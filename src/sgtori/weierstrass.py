@@ -120,7 +120,10 @@ def kernel_from_r(r):
     e2 = (2.0 * r - 1.0 / r) / 3.0
     e1 = (2.0 / r - r) / 3.0
     g2 = (4.0 / 3.0) * s * s - 4.0
-    g3 = (8.0 / 27.0) * s ** 3 - (4.0 / 3.0) * s
+    try:
+        g3 = (8.0 / 27.0) * s ** 3 - (4.0 / 3.0) * s
+    except OverflowError:
+        raise ConsistencyError(f"invariant g3 overflows at r = {r}") from None
     if r == 1.0:
         return EllipticKernel(r, e1, e2, e3, g2, g3, math.inf, 0.5j * math.pi,
                               None, -1j * math.pi / 6.0)

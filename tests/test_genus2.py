@@ -284,25 +284,237 @@ def test_quadrature_without_doublings_is_uncertified(biquadratic, biq_cycles):
     assert change == math.inf and np.all(np.isfinite(vals))
 
 
-def test_lattice_generators_are_flow_periods():
+# (alpha, beta, gamma) as (Re alpha, Im alpha, Re beta, Im beta, gamma): the
+# first potential, then three "dear" and three "generic" draws of the
+# g2_lattice workload's table (perfbench/g2_potentials.json), the generic
+# ones from its cheapest, middle and dearest work
+_FLOW_PERIOD_DRAWS = {
+    "p0": (0.2, 0.1, 0.3, -0.2, 1.4),
+    "dear0": (-0.4462270370896086, -0.003178334470069264, 0.21076609214772832,
+              -0.5416332950919002, 1.2895033331609689),
+    "dear1": (-0.5620937156784538, 0.35050034259223, 0.15451405422832123,
+              0.10044747396287651, 0.7559108440986744),
+    "dear3": (0.42237997474945016, 0.29348838514794995, 0.1099913127260348,
+              -0.08326934317674868, 1.81470840712367),
+    "generic_cheap": (0.07434749830895991, 0.036234907009612245,
+                      -0.24155500987450218, 0.01395691926200579,
+                      0.9849903106917655),
+    "generic_mid": (0.07334636404811336, -0.24922164939473881,
+                    -0.22090082800225125, -0.031852533346162254,
+                    1.2866575366753785),
+    "generic_dear": (-0.33003323519937455, -0.1779531003242206,
+                     0.1305955187285077, -0.14806205692025123,
+                     0.6524698512540386),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLOW_PERIOD_DRAWS))
+def test_lattice_generators_are_flow_periods(name):
     # end-to-end cross-validation of two independent routes: the lattice from
     # contour integrals must consist of actual periods of the commuting flows
-    # (the potential returns and the frame monodromy commutes with zeta_0)
+    # (the potential returns and the frame monodromy commutes with zeta_0);
+    # half a generator is no period (negative control)
     from sgtori.laxflows import frame_at
     from sgtori.potentials import Potential, eval_zeta, spectral_poly
-    p0 = Potential(0.2 + 0.1j, 0.3 - 0.2j, 1.4)
+    a0, a1, b0, b1, gamma = _FLOW_PERIOD_DRAWS[name]
+    p0 = Potential(complex(a0, a1), complex(b0, b1), gamma)
     curve = HyperCurve.from_quartic(classify(spectral_poly(p0)))
     lat = period_lattice(curve)
     lams = np.array([np.exp(0.5j), np.exp(1.7j)])
-    for w in (lat.omega1, lat.omega2):
-        F, pend = frame_at(p0, w.real, w.imag, lams, tol=1e-11)
-        ret = (abs(pend.alpha - p0.alpha) + abs(pend.beta - p0.beta)
-               + abs(pend.gamma - p0.gamma))
+
+    def miss(w, samples):
+        F, pend = frame_at(p0, w.real, w.imag, samples, tol=1e-11)
+        return F, (abs(pend.alpha - p0.alpha) + abs(pend.beta - p0.beta)
+                   + abs(pend.gamma - p0.gamma))
+
+    for w in (lat.omega1, lat.omega2, lat.omega1 + lat.omega2):
+        F, ret = miss(w, lams)
         assert ret <= 1e-8
         for k, lam in enumerate(lams):
             z0 = eval_zeta(p0, lam)
             comm = F[k] @ z0 - z0 @ F[k]
             assert np.max(np.abs(comm)) <= 1e-6
+    assert miss(0.5 * lat.omega1, ())[1] > 1e-3
+
+
+# signs and deviations of mu_at_roots at omega1, omega2 and omega1 + omega2 on
+# the draws above, computed along the earlier zig-zag waypoint path (up to
+# 1,309 legs per root on the table's dear draws); the signs do not depend on
+# the path, and the deviations agree to rounding
+_MU_DRAWS = {
+    "p0": (
+        ([-1, -1, -1, -1],
+         [3.6306137849262144e-12, 3.6317684543270104e-12,
+          3.6298874244970957e-12, 3.627903509003181e-12]),
+        ([1, -1, 1, -1],
+         [4.593449265639192e-12, 4.5923759161276764e-12,
+          4.593984954258129e-12, 4.594140312184355e-12]),
+        ([-1, 1, -1, 1],
+         [2.5415164606951115e-12, 2.5404638168137857e-12,
+          2.541457459465138e-12, 2.539969904723072e-12]),
+    ),
+    "dear0": (
+        ([-1, -1, -1, -1],
+         [4.730013829901239e-13, 4.785464162530275e-13,
+          4.69614011689721e-13, 4.710755899936914e-13]),
+        ([1, -1, 1, -1],
+         [9.052049740943904e-13, 9.098280045891678e-13,
+          9.066822417476956e-13, 9.039823112101063e-13]),
+        ([-1, 1, -1, 1],
+         [1.0242824840202173e-12, 1.013461344798763e-12,
+          1.0260518048356067e-12, 1.023805685339723e-12]),
+    ),
+    "dear1": (
+        ([-1, -1, -1, -1],
+         [9.051564981263035e-12, 9.052681064297707e-12,
+          9.050980118365459e-12, 9.049717499307054e-12]),
+        ([1, -1, 1, -1],
+         [2.4320690226474664e-12, 2.4314956784207968e-12,
+          2.4328424149059163e-12, 2.4343242291843405e-12]),
+        ([-1, 1, -1, 1],
+         [5.027591120372543e-12, 5.029036980351414e-12,
+          5.027714660855518e-12, 5.026945507283537e-12]),
+    ),
+    "dear3": (
+        ([-1, -1, -1, -1],
+         [4.612156905279608e-13, 4.573131280872851e-13,
+          4.559121616987856e-13, 4.626282859334605e-13]),
+        ([1, -1, 1, -1],
+         [3.618392968915081e-12, 3.621008314132254e-12,
+          3.619435922097855e-12, 3.6187238631616354e-12]),
+        ([-1, 1, -1, 1],
+         [5.5582210600523176e-12, 5.56266226905877e-12,
+          5.564883243473316e-12, 5.567102499747009e-12]),
+    ),
+    "generic_cheap": (
+        ([-1, -1, -1, -1],
+         [4.5006564824218e-12, 4.503011470787901e-12,
+          4.502861281744566e-12, 4.503396433232944e-12]),
+        ([1, -1, 1, -1],
+         [1.9480064478623426e-12, 1.9459743145027974e-12,
+          1.9464385093018615e-12, 1.9473908231659866e-12]),
+        ([-1, 1, -1, 1],
+         [5.526110158454603e-13, 5.540045134942075e-13,
+          5.498879395365856e-13, 5.501967708575896e-13]),
+    ),
+    "generic_mid": (
+        ([-1, -1, -1, -1],
+         [1.5946081477556235e-12, 1.5947671573021986e-12,
+          1.594531846753455e-12, 1.5954646994903293e-12]),
+        ([1, -1, 1, -1],
+         [3.729423900041435e-12, 3.729523264838248e-12,
+          3.7300837430607474e-12, 3.7298814701308295e-12]),
+        ([-1, 1, -1, 1],
+         [2.203243884103395e-12, 2.2038522672411026e-12,
+          2.202646219506346e-12, 2.2025446800803518e-12]),
+    ),
+    "generic_dear": (
+        ([-1, -1, -1, -1],
+         [1.917843042720183e-12, 1.9148771287278893e-12,
+          1.917337937719378e-12, 1.9151696552209572e-12]),
+        ([1, -1, 1, -1],
+         [2.5044368084843963e-12, 2.507130027386618e-12,
+          2.5051795444799913e-12, 2.5044175567377643e-12]),
+        ([-1, 1, -1, 1],
+         [5.566597632988919e-12, 5.56299609068844e-12,
+          5.567076983637035e-12, 5.563999685132466e-12]),
+    ),
+}
+
+
+def _draw_curve_and_lattice(name):
+    from sgtori.potentials import Potential, spectral_poly
+    a0, a1, b0, b1, gamma = _FLOW_PERIOD_DRAWS[name]
+    p0 = Potential(complex(a0, a1), complex(b0, b1), gamma)
+    curve = HyperCurve.from_quartic(classify(spectral_poly(p0)))
+    return curve, period_lattice(curve)
+
+
+@pytest.mark.parametrize("name", list(_FLOW_PERIOD_DRAWS))
+def test_mu_at_roots_pinned_on_table_draws(name):
+    curve, lat = _draw_curve_and_lattice(name)
+    vectors = (lat.omega1, lat.omega2, lat.omega1 + lat.omega2)
+    for w, (want_signs, want_devs) in zip(vectors, _MU_DRAWS[name]):
+        signs, devs = mu_at_roots(curve, lat, w)
+        assert signs == want_signs
+        assert np.max(np.abs(np.array(devs) - want_devs)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(_FLOW_PERIOD_DRAWS))
+def test_monodromy_paths_have_at_most_two_clear_legs(name, monkeypatch):
+    # each obstacle keeps the path's clearance, except one nearer the base
+    # point than that (the puncture at 0), which keeps half its distance
+    curve, lat = _draw_curve_and_lattice(name)
+    calls = []
+    original = genus2._avoiding_path
+
+    def recorded(z0, z1, obstacles, clearance):
+        path = original(z0, z1, obstacles, clearance)
+        calls.append((obstacles, clearance, path))
+        return path
+
+    monkeypatch.setattr(genus2, "_avoiding_path", recorded)
+    mu_at_roots(curve, lat, lat.omega1)
+    assert len(calls) == 4
+    for obstacles, clearance, path in calls:
+        assert len(path) - 1 <= 2
+        for o in obstacles:
+            d0 = abs(o - path[0])
+            c = d0 / 2.0 if d0 < clearance else clearance
+            for a, b in zip(path, path[1:]):
+                assert genus2._seg_distance(a, b, o) >= c
+
+
+def test_path_that_cannot_clear_raises_at_the_cap():
+    # the end point sits inside the obstacle's clearance, so no waypoint
+    # can clear the last leg
+    with pytest.raises(PathIntegrationError):
+        genus2._avoiding_path(0.0 + 0j, 1.0 + 0j, [1.0 + 0.05j], 0.1)
+
+
+def _winding_reference(contour, pt, n=4096):
+    """Winding number about pt, piece by piece (one sampling per point)."""
+    s = (np.arange(n) + 0.5) / n
+    total = 0.0
+    for p in contour.pieces:
+        total += float(np.sum((p.dpoint(s) / n / (p.point(s) - pt)).imag))
+    return round(total / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("eps", [None, 1e-2])
+def test_one_sampling_windings_equal_point_by_point(eps, biquadratic):
+    # the biquadratic's capsules are bulged; the split curve's are straight
+    curve = biquadratic if eps is None else split_curve(eps)
+    cycles = build_cycles(curve)
+    for cont in (cycles.a1, cycles.a2, cycles.b1, cycles.b2):
+        pts = list(curve.branch_points)
+        for piece in cont.pieces:
+            for s in (0.1, 0.5, 0.9):
+                z, t = piece.point(s), piece.dpoint(s)
+                pts += [z + 1e-3j * t / abs(t), z - 1e-3j * t / abs(t)]
+        got = cont.windings(pts)
+        assert got == [cont.winding(pt) for pt in pts]
+        assert got == [_winding_reference(cont, pt) for pt in pts]
+        assert set(got[len(curve.branch_points):]) == {0, 1}
+
+
+def test_nu_sq_from_exact_roots_keeps_its_relative_accuracy():
+    # the curve of test_quadruple_root_approach_blows_up: four roots within
+    # 4e-6 of 1, where a(lam) is about 1e-24 on B2 against rounding of 1e-16
+    # in the expanded coefficients
+    mp = pytest.importorskip("mpmath").mp
+    eps = 1e-6
+    roots = [1 - eps, 1 / (1 - eps), 1 - 2 * eps, 1 / (1 - 2 * eps)]
+    curve = HyperCurve.from_roots(roots)
+    lam, _ = genus2._contour_nodes(curve, build_cycles(curve).b2, 4)
+    with mp.workdps(40):
+        ref = np.array([complex(-mp.mpc(z) * mp.fprod(mp.mpc(z) - mp.mpf(r)
+                                                      for r in roots))
+                        for z in lam])
+    rel = np.abs(curve.nu_sq(lam) - ref) / np.abs(ref)
+    assert np.max(rel) <= 1e-12
+    coeff_rel = np.abs(-lam * curve.quartic(lam) - ref) / np.abs(ref)
+    assert np.max(coeff_rel) > 1.0
 
 
 # --- the moment table and the one-pass sheet tracker ------------------------

@@ -239,6 +239,8 @@ class TestGenus1Flow:
         # 252 records (the start, a first step of 0.01 and 250 steps at
         # max_step 0.02) over a span of 5; the final state is within 3e-14
         # of a 30-digit mpmath Taylor integration of the same flow
+        # (-0.32430656156370598, 1.18747643086406588).  With no max_step
+        # the same tol ends 1.7e-12 from it, so the pin keeps the cap.
         calls = []
         drive = kernels.genus1_drive
 
@@ -247,11 +249,26 @@ class TestGenus1Flow:
             return drive(*args)
 
         monkeypatch.setattr(kernels, "genus1_drive", counted)
-        orbit = genus1_flow(Genus1State(0.3, 1.2), 5.0, tol=1e-12)
+        orbit = genus1_flow(Genus1State(0.3, 1.2), 5.0, tol=1e-12,
+                            max_step=0.02)
         assert len(calls) == 1
         assert len(orbit.y) == 252 and orbit.y[-1] == 5.0
         assert orbit.final == Genus1State(-0.3243065615637318,
                                           1.1874764308640524)
+
+    def test_default_flow_takes_no_forced_steps(self, monkeypatch):
+        # moving (0, 2) by y = 5 at tol 1e-10 takes 1,839 evaluations at the
+        # stepper's own pace; a 0.02 step cap made it 3,766
+        rhs = kernels.genus1_rhs
+        calls = []
+
+        def counted(y):
+            calls.append(None)
+            return rhs(y)
+
+        monkeypatch.setattr(kernels, "genus1_rhs", counted)
+        genus1_flow(Genus1State(0.0, 2.0), 5.0, tol=1e-10)
+        assert 0 < len(calls) <= 2_000
 
     def test_no_step_exceeds_max_step(self):
         # the first step (0.01) is clipped to max_step as well; the

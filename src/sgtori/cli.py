@@ -8,6 +8,7 @@ codes: 0 ok, 2 domain error, 3 numerical failure.
 import argparse
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -197,8 +198,26 @@ def positive_int(text):
     return n
 
 
+def nonzero_float(text):
+    x = finite_float(text)
+    if x == 0.0:
+        raise argparse.ArgumentTypeError(f"must be non-zero: {text!r}")
+    return x
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse takes an argument for a negative number, not an option, only
+    in fixed point ("-0.00001"); this parser, and the subparsers it makes,
+    take the exponent form ("-1e-05") too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sgtori",
         description="spectral data, period lattices and Willmore energies "
                     "of low-genus sinh-Gordon tori")
@@ -267,7 +286,7 @@ def build_parser():
     p.add_argument("--r", type=finite_float, required=True)
     p.add_argument("--t", type=finite_float, default=0.0)
     p.add_argument("--grid", type=positive_int, default=24)
-    p.add_argument("--h", type=finite_float, default=0.05)
+    p.add_argument("--h", type=nonzero_float, default=0.05)
     p.set_defaults(fn=cmd_immersion_export, tol=1e-10)
 
     return ap

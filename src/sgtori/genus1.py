@@ -93,15 +93,19 @@ class Genus1Data:
         p, dp, ztp = ws.wp_all(k, zp)
         lhp = k.e3 - p
         nhp = 0.5 * dp
-        if abs(abs(lhp) - 1.0) > 1e-10:
-            raise ConsistencyError("z_+ left the unit-circle component")
-        if abs(nhp ** 2 + lhp * (lhp + r) * (lhp + 1.0 / r)) > 1e-10 * max(
-                1.0, abs(nhp) ** 2):
-            raise ConsistencyError("curve equation violated at z_+")
+        # each check is written so that a NaN fails it
+        if not abs(abs(lhp) - 1.0) <= 1e-10:
+            raise ConsistencyError(
+                f"z_+ left the unit-circle component at r = {r}, t = {t}")
+        curve = abs(nhp ** 2 + lhp * (lhp + r) * (lhp + 1.0 / r))
+        if not curve <= 1e-10 * max(1.0, abs(nhp) ** 2):
+            raise ConsistencyError(
+                f"curve equation violated at z_+ at r = {r}, t = {t}")
         zt_m = ws.wzeta(k, zp - k.omega_p)
         c = (k.omega_p * (ztp + zt_m + k.eta_p) - 2.0 * k.eta_p * zp) / (1j * _PI)
-        if abs(c.imag) > 1e-8 * max(1.0, abs(c)):
-            raise ConsistencyError(f"C should be real, got {c}")
+        if not abs(c.imag) <= 1e-8 * max(1.0, abs(c)):
+            raise ConsistencyError(
+                f"C should be real at r = {r}, t = {t}, got {c}")
         # phi anchored continuously with phi(t=0) = pi/4
         phi = 0.25 * _PI + 0.25 * cmath.phase(lhp)
         return cls(r, float(t), phi, zp, lhp, nhp, k, ztp, c.real)
@@ -250,9 +254,9 @@ def tau_tilde(d):
     val = (2.0 * k.eta_p * d.z_plus - 2.0 * k.omega_p * d.zeta_plus) / (1j * _PI)
     re = -d.c
     im_val = k.omega_p * d.nu_hat_plus / (_PI * d.lambda_hat_plus)
-    if abs(im_val.imag) > 1e-8 * max(1.0, abs(im_val)):
+    if not abs(im_val.imag) <= 1e-8 * max(1.0, abs(im_val)):
         raise ConsistencyError("Im tau formula returned a non-real value")
-    if abs(val - complex(re, im_val.real)) > 1e-9 * max(1.0, abs(val)):
+    if not abs(val - complex(re, im_val.real)) <= 1e-9 * max(1.0, abs(val)):
         raise ConsistencyError("split tau formulas disagree with the main one")
     return val
 

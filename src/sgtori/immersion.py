@@ -289,10 +289,12 @@ def willmore_explicit_g1(d):
     k = d.kernel
     val = 8.0 * math.pi * (k.omega_p * k.e3 + k.eta_p) * (
         d.lambda_hat_plus / d.nu_hat_plus)
-    if abs(val.imag) > 1e-9 * abs(val):
+    # written so that a NaN or an infinity fails
+    if not abs(val.imag) <= 1e-9 * abs(val):
         raise ConsistencyError(f"Willmore closed form not real: {val}")
-    if val.real <= 0.0:
-        raise ConsistencyError(f"Willmore closed form not positive: {val}")
+    if not 0.0 < val.real < math.inf:
+        raise ConsistencyError(
+            f"Willmore closed form not positive and finite: {val}")
     return val.real
 
 

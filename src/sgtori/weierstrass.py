@@ -29,10 +29,21 @@ series are
     zeta(z) = z^-1 - z^3 R(u),
 
 and P, Q, R are evaluated together by Horner's rule in u, one pass over
-three coefficient tuples precomputed when the kernel is built.  Kernels are
-immutable and memoised per r (a bounded LRU cache on kernel_from_r), so a
-sweep over many points at few values of r builds each kernel once.  At
-r = 1 the lattice degenerates (omega = inf) and the hyperbolic limits
+three coefficient tuples precomputed when the kernel is built.
+
+The series converges for |z| < r_min = min(2 omega, 2|omega'|) (DLMF 23.9),
+and _eval_raw halves the argument until |z| <= 0.35 r_min before it sums,
+where the terms fall off like 0.35^(2j).  The tuples hold 27 terms
+(c_2..c_28).  Against 55 terms, on seeded points with r log-uniform in
+[1e-6, 1): uniform in the disc |z| <= 0.35 r_min (260,000 points), 26 and
+27 terms give the same bits and 25 terms change one result; on the rim
+|z| = 0.35 r_min (200,000 points), 27 terms give the same bits and 26
+change one.
+
+Kernels are immutable and memoised per r (a bounded LRU cache on
+kernel_from_r), so a sweep over many points at few values of r builds each
+kernel once.  At r = 1 the lattice degenerates (omega = inf) and the
+hyperbolic limits
 
     wp(z) = 1/3 + 1/sinh^2 z,   zeta(z) = -z/3 + coth z,
     omega' = i pi/2,            eta' = -i pi/6
@@ -48,7 +59,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, PoleError
 
-_NC = 56  # Laurent coefficients; plenty for |z|/r_min <= 0.4
+# Laurent coefficients c_0..c_28, so 27 Horner terms: enough for the bits
+# of 55 terms at |z| <= 0.35 r_min, where _eval_raw sums (module docstring)
+_NC = 28
 
 
 def agm(a, b):

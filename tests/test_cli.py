@@ -261,11 +261,60 @@ def test_t_outside_the_family_is_a_domain_error(capsys, argv):
 
 
 def test_tau_tiny_r_is_a_numerical_failure(capsys):
-    # the Laurent coefficients of the curve overflow at r <= 3e-7
+    # z_+ leaves the unit circle at r = 1e-9 (the Laurent coefficients
+    # overflow only at r <= 1e-12)
     code, out, err = run(capsys, "tau", "--r", "1e-9")
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure:") and "r = 1e-09" in err
+
+
+@pytest.mark.parametrize("argv, at", [
+    pytest.param(("tau", "--r", "1", "--t", "1e300"), "r = 1.0, t = 1e+300",
+                 id="tau-t1e300"),
+    pytest.param(("willmore", "--r", "1", "--t", "1e300", "--grid", "8"),
+                 "r = 1.0, t = 1e+300", id="willmore-t1e300"),
+    pytest.param(("willmore", "--r", "1", "--t", "400", "--grid", "8"),
+                 "r = 1.0, t = 400.0", id="willmore-t400"),
+])
+def test_overflowing_family_point_is_a_numerical_failure(capfd, argv, at):
+    # sinh(t) overflows and the values at z_+ are NaN: the checks in
+    # Genus1Data.from_rt fail on NaN, before LAPACK sees one (capfd, not
+    # capsys: LAPACK writes its complaints to the file descriptor)
+    code = main(list(argv))
+    out, err = capfd.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and at in err
+
+
+@pytest.mark.xfail(strict=True, reason="small r leaves the curve at z_+ "
+                   "(ROADMAP item 2: half-period reduction)")
+def test_figure4_small_r(capsys):
+    code, _, _ = run(capsys, "figure4", "--r-list", "0.003", "--t-steps", "8")
+    assert code == 0
+
+
+def test_immersion_export_rejects_zero_h(capsys):
+    # a negative h mirrors the patch and stays allowed
+    with pytest.raises(SystemExit) as exc:
+        main(["immersion-export", "--r", "0.7", "--h", "0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--h" in out.err
+    code, out, _ = run(capsys, "immersion-export", "--r", "0.7", "--grid",
+                       "2", "--h", "-0.05")
+    assert code == 0 and out.count("\nv ") == 4
+
+
+def test_negative_values_in_exponent_form(capsys):
+    fixed = run(capsys, "flow", "--to", "-0.00001", "0.1")
+    assert fixed[0] == 0
+    assert run(capsys, "flow", "--to", "-1e-05", "0.1") == fixed
+    code, out, _ = run(capsys, "classify", "--alpha", "0.3", "-1e-300")
+    assert code == 0
+    assert json.loads(out)["config"]["alpha"] == [0.3, -1e-300]
 
 
 def test_emit_refuses_non_finite_values(capsys):

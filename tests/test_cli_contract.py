@@ -34,8 +34,10 @@ def mixed(ordinary, special):
 
 def number(lo, hi):
     """A float argument in [lo, hi], or a special one.  Ordinary values are
-    written in fixed point: argparse takes "-1e-05" for an option."""
-    return mixed(st.floats(lo, hi).map("{:.6f}".format), SPECIAL)
+    written in fixed point ("-0.000010") or, as often, with an exponent
+    ("-1.000000e-05")."""
+    return mixed(st.one_of(st.floats(lo, hi).map("{:.6f}".format),
+                           st.floats(lo, hi).map("{:.6e}".format)), SPECIAL)
 
 
 def count(hi):

@@ -9,9 +9,10 @@ frame at four spectral points (p1, p2 = eta(p1), p3, p4 = eta(p3)):
 which is quaternion-valued (j A = conj(A) j) and doubly periodic over the
 index-two sublattice spanned by w1 + w2, w2 - w1 once the monodromy
 eigenvalues at the four points all equal -1 (closing condition).  Frames
-come from laxflows: a patch from one `integrate_frame` sweep, and the
-frame at a translate z + w_hat from F(z) times `frame_at` of the potential
-flowed to z.
+come from laxflows: a patch from one `integrate_frame` sweep.  The
+periodicity check translates frames by the monodromy M = F_{p0}(w_hat),
+F(z + w_hat) = M F(z), which holds once the potential flowed over w_hat
+returns to p0; it measures that return too.
 
 Willmore energy routes:
   explicit : W = 8 pi (omega' e3 + eta') lam_h+/nu_h+  (elliptic closed form;
@@ -244,24 +245,36 @@ def conformality_defect(grid):
 
 
 def periodicity_defect(cd, n_samples=3, tol=1e-11):
-    """max_j max_z |f(z + w_hat_j) - f(z)| / scale over a few base points.
+    """max_j max_z |f(z + w_hat_j) - f(z)| / scale over a few base points,
+    or the drift of the potential over w_hat_j if that is larger.
 
-    The frame at z + w_hat_j is F(z) times the frame of the potential flowed
-    to z, taken over w_hat_j.
+    With (M_j, p_j) = frame_at(p0, w_hat_j), the frame cocycle gives
+    F(z + w_hat_j) = M_j F_{p_j}(z), which is M_j F(z) when p_j = p0.  So
+    each generator is integrated once, each base point only from 0 to z, and
+    f(M_j F(z)) is compared with f(F(z)).  The identity needs p_j = p0, so
+    |p_j - p0| counts too: alpha, beta and gamma each relative to
+    max(1, |component of p0|).
     """
     p0 = base_potential(cd)
-    worst = 0.0
+    defects = []
+    monodromies = []
+    for wh in cd.w_hat:
+        M, p_w = frame_at(p0, wh.real, wh.imag, cd.lambdas, tol)
+        monodromies.append(M)
+        for a, b in ((p_w.alpha, p0.alpha), (p_w.beta, p0.beta),
+                     (p_w.gamma, p0.gamma)):
+            defects.append(abs(a - b) / max(1.0, abs(b)))
     rng = np.random.default_rng(11)
     for _ in range(n_samples):
         z = complex(0.2 * rng.random(), 0.2 * rng.random())
-        F0, p_z = frame_at(p0, z.real, z.imag, cd.lambdas, tol)
+        F0, _ = frame_at(p0, z.real, z.imag, cd.lambdas, tol)
         f0, _ = immersion_at(cd, F0)
         scale = max(1.0, float(np.max(np.abs(f0))))
-        for wh in cd.w_hat:
-            Fw, _ = frame_at(p_z, wh.real, wh.imag, cd.lambdas, tol)
-            f1, _ = immersion_at(cd, F0 @ Fw)
-            worst = max(worst, float(np.max(np.abs(f1 - f0))) / scale)
-    return worst
+        for M in monodromies:
+            f1, _ = immersion_at(cd, M @ F0)
+            defects.append(float(np.max(np.abs(f1 - f0))) / scale)
+    # np.max, not max(): a NaN defect must not read as 0
+    return float(np.max(defects))
 
 
 def hopf_field_check(grid):

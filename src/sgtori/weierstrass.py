@@ -193,6 +193,23 @@ def _reduce(k, z):
     return z - 2.0 * n1 * k.omega - 2.0 * n2 * k.omega_p, n1, n2
 
 
+def _sinh_forms(z, need_zeta):
+    """(wp, wp', zeta) of the degenerate lattice (r = 1) from sinh z."""
+    sh = np.sinh(z)
+    return (1.0 / 3.0 + 1.0 / sh ** 2, -2.0 * np.cosh(z) / sh ** 3,
+            -z / 3.0 + np.cosh(z) / sh if need_zeta else 0j)
+
+
+def _eval_degenerate(z, need_zeta):
+    if abs(z.real) < 200.0:
+        return _sinh_forms(z, need_zeta)
+    # sinh(z)**3 overflows past |Re z| = 236, and the NaN that follows fails
+    # the callers' checks, so NumPy's warnings would be noise.  errstate
+    # costs about as much as the formulas, so only this tail pays for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sinh_forms(z, need_zeta)
+
+
 def _eval_all(k, z, need_zeta):
     z = complex(z)
     if k.degenerate:
@@ -200,11 +217,7 @@ def _eval_all(k, z, need_zeta):
         z0 = z - 1j * math.pi * n
         if abs(z0) < 1e-8:
             raise PoleError(f"z = {z} is within 1e-8 of a lattice point")
-        sh = np.sinh(z)
-        p = 1.0 / 3.0 + 1.0 / sh ** 2
-        dp = -2.0 * np.cosh(z) / sh ** 3
-        zt = -z / 3.0 + np.cosh(z) / sh if need_zeta else 0j
-        return p, dp, zt
+        return _eval_degenerate(z, need_zeta)
     z0, n1, n2 = _reduce(k, z)
     if abs(z0) < 1e-8:
         raise PoleError(f"z = {z} is within 1e-8 of a lattice point")
@@ -238,10 +251,7 @@ def wp_small(k, z):
     """(wp, wp', zeta) straight from the series; |z| must be well inside the
     cell.  Used for stable evaluation near the poles of derived quantities."""
     if k.degenerate:
-        sh = np.sinh(z)
-        return (1.0 / 3.0 + 1.0 / sh ** 2,
-                -2.0 * np.cosh(z) / sh ** 3,
-                -z / 3.0 + np.cosh(z) / sh)
+        return _eval_degenerate(z, True)
     return _series_eval(k, complex(z))
 
 

@@ -193,14 +193,17 @@ def test_willmore_stdout_pinned(capsys):
     assert out == WILLMORE_R07_T03
 
 
-def test_flow_step_budget_exits_3():
+def run_process(*argv):
+    """The CLI in a fresh interpreter, on this checkout's sources."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgtori.cli", "flow", "--gamma", "2",
-         "--to", "1e6", "0"],
-        env=env, capture_output=True, text=True, timeout=30)
+    return subprocess.run([sys.executable, "-m", "sgtori.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
+def test_flow_step_budget_exits_3():
+    proc = run_process("flow", "--gamma", "2", "--to", "1e6", "0")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("numerical failure:")
@@ -286,6 +289,17 @@ def test_overflowing_family_point_is_a_numerical_failure(capfd, argv, at):
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure:") and at in err
+
+
+def test_overflow_at_r1_prints_only_the_failure_line():
+    # the powers of sinh overflow in the degenerate branch of the Weierstrass
+    # evaluator; NumPy's warnings about it must not reach stderr (a
+    # subprocess, since pytest would capture warnings raised in process)
+    proc = run_process("tau", "--r", "1", "--t", "400")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: z_+ left the unit-circle "
+                           "component at r = 1.0, t = 400.0\n")
 
 
 @pytest.mark.xfail(strict=True, reason="small r leaves the curve at z_+ "

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -290,7 +291,7 @@ def test_immersion_module_is_not_shadowed():
 @pytest.mark.parametrize("generator", [0, 1])
 def test_frame_cocycle_over_closing_lattice(sample_m22, generator):
     # F(z + w) = F(z) F_{p(z)}(w), with p(z) the potential flowed to z: the
-    # identity periodicity_defect translates frames by
+    # cocycle order of the periodicity oracle below
     from sgtori.immersion import base_potential
     from sgtori.laxflows import frame_at
     cd = closing_points_g1(sample_m22)
@@ -302,3 +303,101 @@ def test_frame_cocycle_over_closing_lattice(sample_m22, generator):
     F_w, _ = frame_at(p_z, w.real, w.imag, cd.lambdas, tol=1e-11)
     F_zw, _ = frame_at(p0, zw.real, zw.imag, cd.lambdas, tol=1e-11)
     assert np.max(np.abs(F_zw - F_z @ F_w)) <= 1e-9
+
+
+@pytest.mark.parametrize("generator", [0, 1])
+def test_monodromy_translates_frames_over_closing_lattice(sample_m22,
+                                                          generator):
+    # F(z + w) = M F(z) with M = F_{p0}(w), since the potential flowed over
+    # a closing generator returns to p0: the identity periodicity_defect
+    # translates frames by
+    from sgtori.immersion import base_potential
+    from sgtori.laxflows import frame_at
+    cd = closing_points_g1(sample_m22)
+    p0 = base_potential(cd)
+    w = cd.w_hat[generator]
+    M, _ = frame_at(p0, w.real, w.imag, cd.lambdas, tol=1e-11)
+    for z in (0.13 + 0.07j, 0.04 + 0.18j):
+        zw = z + w
+        F_z, _ = frame_at(p0, z.real, z.imag, cd.lambdas, tol=1e-11)
+        F_zw, _ = frame_at(p0, zw.real, zw.imag, cd.lambdas, tol=1e-11)
+        assert np.max(np.abs(F_zw - M @ F_z)) <= 1e-9
+
+
+def _cocycle_periodicity_defect(cd, n_samples):
+    """The periodicity defect by the cocycle F(z + w) = F(z) F_{p(z)}(w):
+    one whole-period leg from p(z) per base point and generator."""
+    from sgtori.immersion import base_potential, immersion_at
+    from sgtori.laxflows import frame_at
+    p0 = base_potential(cd)
+    worst = 0.0
+    rng = np.random.default_rng(11)
+    for _ in range(n_samples):
+        z = complex(0.2 * rng.random(), 0.2 * rng.random())
+        F0, p_z = frame_at(p0, z.real, z.imag, cd.lambdas, 1e-11)
+        f0, _ = immersion_at(cd, F0)
+        scale = max(1.0, float(np.max(np.abs(f0))))
+        for w in cd.w_hat:
+            Fw, _ = frame_at(p_z, w.real, w.imag, cd.lambdas, 1e-11)
+            f1, _ = immersion_at(cd, F0 @ Fw)
+            worst = max(worst, float(np.max(np.abs(f1 - f0))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("rt", [(0.6, 0.1), (0.5, -0.2), (0.7, 0.25),
+                                (0.45, 0.0), (0.55, -0.1), (0.65, 0.2),
+                                (0.74, -0.27), (0.46, 0.27)])
+def test_periodicity_defect_against_the_cocycle_route(rt):
+    # closed tori over the box of acceptance criterion 09, two near its corners
+    cd = closing_points_g1(Genus1Data.from_rt(*rt))
+    new = periodicity_defect(cd, n_samples=2)
+    old = _cocycle_periodicity_defect(cd, 2)
+    assert new <= 1e-11 and old <= 1e-11
+
+
+@pytest.mark.parametrize("rt", [(0.6, 0.1), (0.5, -0.2)])
+def test_periodicity_defect_rejects_the_full_lattice(rt):
+    # w_hat of these w1, w2 are the full-lattice generators, over which the
+    # potential closes and the immersion does not
+    from sgtori.immersion import base_potential
+    from sgtori.laxflows import frame_at
+    cd = closing_points_g1(Genus1Data.from_rt(*rt))
+    bad = dataclasses.replace(cd, w1=(cd.w1 - cd.w2) / 2,
+                              w2=(cd.w1 + cd.w2) / 2)
+    assert np.allclose(bad.w_hat, (cd.w1, cd.w2), rtol=0, atol=1e-15)
+    p0 = base_potential(cd)
+    for w in bad.w_hat:
+        _, p_w = frame_at(p0, w.real, w.imag, cd.lambdas, tol=1e-11)
+        assert abs(p_w.alpha - p0.alpha) <= 1e-9
+        assert abs(p_w.beta - p0.beta) <= 1e-9
+        assert abs(p_w.gamma - p0.gamma) <= 1e-9
+    new = periodicity_defect(bad, n_samples=2)
+    assert new >= 0.5
+    # the cocycle oracle reads the same immersion mismatch
+    assert abs(new - _cocycle_periodicity_defect(bad, 2)) <= 1e-8
+
+
+@pytest.mark.parametrize("rt", [(0.6, 0.1), (0.5, -0.2)])
+def test_periodicity_defect_rejects_half_generators(rt):
+    cd = closing_points_g1(Genus1Data.from_rt(*rt))
+    bad = dataclasses.replace(cd, w1=cd.w1 / 2, w2=cd.w2 / 2)
+    assert periodicity_defect(bad, n_samples=2) >= 0.5
+
+
+def test_periodicity_defect_counts_the_potential_drift(sample_m22,
+                                                        monkeypatch):
+    # the frames stay those of a closed torus; only the potential returned by
+    # the whole-period legs moves, by 1e-3 in alpha
+    import sgtori.immersion as imm
+    cd = closing_points_g1(sample_m22)
+    legs = {(w.real, w.imag) for w in cd.w_hat}
+    frame_at = imm.frame_at
+
+    def drifting(p, x, y, lams, tol):
+        F, p_end = frame_at(p, x, y, lams, tol)
+        if (x, y) in legs:
+            p_end = dataclasses.replace(p_end, alpha=p_end.alpha + 1e-3)
+        return F, p_end
+
+    monkeypatch.setattr(imm, "frame_at", drifting)
+    assert periodicity_defect(cd, n_samples=2) >= 1e-4

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ def test_degenerate_closed_forms():
     z = 0.7 + 0.3j
     assert abs(wp(k, z) - (1 / 3 + 1 / np.sinh(z) ** 2)) < 1e-14
     assert abs(wzeta(k, z) - (-z / 3 + np.cosh(z) / np.sinh(z))) < 1e-14
+
+
+@pytest.mark.parametrize("x", [150.0, 250.0, 400.0, 800.0])
+def test_degenerate_overflow_raises_no_warning(x):
+    # sinh(z)**3 overflows past Re z = 236; the non-finite values are for the
+    # callers' checks to report, without NumPy warnings on stderr
+    k = kernel_from_r(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wp_all(k, x + 0.3j)
+        wp_small(k, x + 0.3j)
 
 
 def test_branch_values():

@@ -193,21 +193,14 @@ def _reduce(k, z):
     return z - 2.0 * n1 * k.omega - 2.0 * n2 * k.omega_p, n1, n2
 
 
-def _sinh_forms(z, need_zeta):
-    """(wp, wp', zeta) of the degenerate lattice (r = 1) from sinh z."""
-    sh = np.sinh(z)
-    return (1.0 / 3.0 + 1.0 / sh ** 2, -2.0 * np.cosh(z) / sh ** 3,
-            -z / 3.0 + np.cosh(z) / sh if need_zeta else 0j)
-
-
 def _eval_degenerate(z, need_zeta):
-    if abs(z.real) < 200.0:
-        return _sinh_forms(z, need_zeta)
+    """(wp, wp', zeta) of the degenerate lattice (r = 1) from sinh z."""
     # sinh(z)**3 overflows past |Re z| = 236, and the NaN that follows fails
-    # the callers' checks, so NumPy's warnings would be noise.  errstate
-    # costs about as much as the formulas, so only this tail pays for it.
+    # the callers' checks, so NumPy's warnings would be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sinh_forms(z, need_zeta)
+        sh = np.sinh(z)
+        return (1.0 / 3.0 + 1.0 / sh ** 2, -2.0 * np.cosh(z) / sh ** 3,
+                -z / 3.0 + np.cosh(z) / sh if need_zeta else 0j)
 
 
 def _eval_all(k, z, need_zeta):

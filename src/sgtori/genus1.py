@@ -230,7 +230,7 @@ def log_mu_pair_near_zero(d, delta):
         wp(omega' + delta)  = e3 + 1/(wp(delta) - e3),
         wp'(omega' + delta) = -wp'(delta)/(wp(delta) - e3)^2,
         zeta(omega' + delta) = zeta(delta) + eta' + wp'(delta)/(2(wp(delta)-e3)),
-    with wp(delta) evaluated by the bare Laurent series.
+    with (wp, wp', zeta)(delta) from ws.wp_small, without lattice reduction.
     """
     k = d.kernel
     p, dp, zt = ws.wp_small(k, delta)

@@ -311,18 +311,25 @@ def willmore_explicit_g1(d):
     return val.real
 
 
-def _residue_samples(d, radii=(1.0e-3, 1.4e-3, 2.0e-3, 2.8e-3), n_angles=3):
-    """(ln mu_1, ln mu_2, nu) near lam = 0 with |nu| in [1e-3, 1e-2].
+def _residue_samples(d, n_angles=3):
+    """(ln mu_1, ln mu_2, nu) at z = omega' + delta, |delta| from 5.7e-4 to
+    1.6e-3 of the lattice's r_min = min(2 omega, 2|omega'|).
 
-    nu is the genus-two eigenvalue branch, nu = s i e^{-3i phi} nu_h (lam -
-    lam_+), the sign s fixed by ln mu_1 ~ -w1/nu.
+    The expansion in nu converges on a disc that scales with the lattice, so
+    the sample radii scale with it too (at r = 0.3, where r_min = 1.76,
+    they are 1e-3 to 2.8e-3).  nu is the genus-two eigenvalue branch,
+    nu = s i e^{-3i phi} nu_h (lam - lam_+), the sign s fixed by
+    ln mu_1 ~ -w1/nu.
     """
+    k = d.kernel
+    r_min = min(2.0 * k.omega, 2.0 * abs(k.omega_p))
     w1, _ = lattice_g1(d)
     lam_plus = cmath.exp(2j * d.phi)
     ln1 = []
     ln2 = []
     nus = []
-    for rho in radii:
+    for frac in (5.7e-4, 8.0e-4, 1.14e-3, 1.6e-3):
+        rho = frac * r_min
         for m in range(n_angles):
             delta = rho * cmath.exp(2j * math.pi * (m + 0.37) / n_angles)
             l1, l2, nu_h, lam = log_mu_pair_near_zero(d, delta)

@@ -10,47 +10,51 @@ with e1 + e2 + e3 = 0, (e1 - e3)(e2 - e3) = 1 and invariants
 
 The lattice is rectangular: real half-period omega with wp(omega) = e1,
 imaginary half-period omega' with wp(omega') = e3.  Both are computed with
-the arithmetic-geometric mean,
+the arithmetic-geometric mean of the square roots of e1 - e3 = 1/r,
+e1 - e2 = 1/r - r and e2 - e3 = r,
 
-    omega  = pi / (2 AGM(sqrt(e1 - e3), sqrt(e1 - e2))),
-    omega' = i pi / (2 AGM(sqrt(e1 - e3), sqrt(e2 - e3))),
+    omega  = pi / (2 AGM(1/sqrt r, sqrt(1/r - r))),
+    omega' = i pi / (2 AGM(1/sqrt r, sqrt r)),
 
-and cross-checked in the tests against direct quadrature of the defining
-period integral on nu^2 = -t (t + r)(t + 1/r).  Quasi-periods are
+written in r because the differences of the e_i lose digits near r = 0 and
+r = 1 (at r = 1e-4, 1e-10 of omega'), and cross-checked in the tests
+against direct quadrature of the defining period integral on
+nu^2 = -t (t + r)(t + 1/r).  Quasi-periods are
 eta = zeta(omega), eta' = zeta(omega'), normalized so that the Legendre
 relation reads eta*omega' - eta'*omega = pi i / 2.
 
-Evaluation strategy: truncated Laurent series about 0 after reduction into
-the centered period cell, followed by argument doubling with the elliptic
-group law (no external special-function dependency).  With u = z^2 the
-series are
+Evaluation: after reduction into the centered period cell, the nome
+(q-)series of DLMF 23.8 (https://dlmf.nist.gov/23.8) about the shorter
+half-period omega1, which is omega for r < 1/sqrt 2 and omega' above, with
+omega3 = -omega there.  With c = pi/(2 omega1), v = c z, the nome
+q = exp(i pi omega3/omega1) and a_n = q^2n/(1 - q^2n),
 
-    wp(z)  = z^-2 + z^2 P(u),   wp'(z) = -2 z^-3 + z Q(u),
-    zeta(z) = z^-1 - z^3 R(u),
+    wp(z)   = -eta1/omega1 + c^2 (csc^2 v - 8 sum n a_n cos 2nv),
+    wp'(z)  = c^3 (-2 cot v csc^2 v + 16 sum n^2 a_n sin 2nv),
+    zeta(z) = eta1 z/omega1 + c (cot v + 4 sum a_n sin 2nv),
+    eta1    = (pi^2/(12 omega1)) (1 - 24 sum n a_n).
 
-and P, Q, R are evaluated together by Horner's rule in u, one pass over
-three coefficient tuples precomputed when the kernel is built.
+The shorter half-period makes q real with 0 <= q <= exp(-pi), and in the
+centered cell |e^{2iv}| <= 1/q, so term n is at most n^2 q^n of the leading
+one.  The sums keep the terms down to n^2 q^n < 1e-17: 14 at the square
+lattice, fewer on either side.  The sums run by Horner's rule in e^{2iv}
+and e^{-2iv} over one tuple of coefficients; cot v and csc^2 v come from
+sin v, which keeps their digits near z = 0.
 
-The series converges for |z| < r_min = min(2 omega, 2|omega'|) (DLMF 23.9),
-and _eval_raw halves the argument until |z| <= 0.35 r_min before it sums,
-where the terms fall off like 0.35^(2j).  The tuples hold 27 terms
-(c_2..c_28).  Against 55 terms, on seeded points with r log-uniform in
-[1e-6, 1): uniform in the disc |z| <= 0.35 r_min (260,000 points), 26 and
-27 terms give the same bits and 25 terms change one result; on the rim
-|z| = 0.35 r_min (200,000 points), 27 terms give the same bits and 26
-change one.
+At r = 1 the lattice degenerates: omega = inf, omega1 = omega' = i pi/2
+and q = 0, so the sums are empty and the formulas are exactly
+
+    wp(z) = 1/3 + 1/sinh^2 z,   zeta(z) = -z/3 + coth z,   eta' = -i pi/6.
+
+Past |Im v| = 355, where sin(v)^2 overflows (far along the real axis at
+r = 1), the values are NaN, for the callers' checks to report.
 
 Kernels are immutable and memoised per r (a bounded LRU cache on
 kernel_from_r), so a sweep over many points at few values of r builds each
-kernel once.  At r = 1 the lattice degenerates (omega = inf) and the
-hyperbolic limits
-
-    wp(z) = 1/3 + 1/sinh^2 z,   zeta(z) = -z/3 + coth z,
-    omega' = i pi/2,            eta' = -i pi/6
-
-are used instead.
+kernel once.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -59,9 +63,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, PoleError
 
-# Laurent coefficients c_0..c_28, so 27 Horner terms: enough for the bits
-# of 55 terms at |z| <= 0.35 r_min, where _eval_raw sums (module docstring)
-_NC = 28
+_NAN3 = (complex(math.nan, math.nan),) * 3
 
 
 def agm(a, b):
@@ -79,26 +81,16 @@ def agm(a, b):
     return 0.5 * (a + b)
 
 
-def _series_coeffs(g2, g3):
-    """Coefficients c_k of wp(z) = z^-2 + sum_{k>=2} c_k z^(2k-2), k = 0.._NC."""
-    c = [0.0] * (_NC + 1)
-    c[2] = g2 / 20.0
-    c[3] = g3 / 28.0
-    for k in range(4, _NC + 1):
-        s = 0.0
-        for m in range(2, k - 1):
-            s += c[m] * c[k - m]
-        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
-    return tuple(c)
-
-
-def _horner_tuples(c):
-    """Reversed coefficients of P, Q, R in u = z^2 (see module docstring):
-    P_j = c_{j+2}, Q_j = (2j + 2) c_{j+2}, R_j = c_{j+2}/(2j + 3)."""
-    js = range(_NC - 2, -1, -1)
-    return (tuple(c[j + 2] for j in js),
-            tuple((2 * j + 2) * c[j + 2] for j in js),
-            tuple(c[j + 2] / (2 * j + 3) for j in js))
+def _nome_terms(q):
+    """(a_n, n a_n, n^2 a_n) for n = N..1 (Horner order), N the last n with
+    n^2 q^n >= 1e-17: 14 at q = exp(-pi), none at q = 0."""
+    terms = []
+    n = 1
+    while n * n * q ** n >= 1e-17:
+        a = q ** (2 * n) / (1.0 - q ** (2 * n))
+        terms.append((a, n * a, n * n * a))
+        n += 1
+    return tuple(reversed(terms))
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,9 @@ class EllipticKernel:
     omega_p: complex        # imaginary half-period
     eta: complex            # zeta(omega); None at r = 1
     eta_p: complex          # zeta(omega')
-    coeffs: tuple = None    # c_0.._NC of the wp series; None at r = 1
-    horner: tuple = None    # (P, Q, R) reversed, for _series_eval
+    c: complex              # pi/(2 omega1), omega1 the shorter half-period
+    eta1: complex           # zeta(omega1), from the nome series
+    terms: tuple            # (a_n, n a_n, n^2 a_n), n = N..1; empty at r = 1
 
     @property
     def degenerate(self):
@@ -136,116 +129,104 @@ def kernel_from_r(r):
     try:
         g3 = (8.0 / 27.0) * s ** 3 - (4.0 / 3.0) * s
     except OverflowError:
-        raise ConsistencyError(f"invariant g3 overflows at r = {r}") from None
-    if r == 1.0:
-        return EllipticKernel(r, e1, e2, e3, g2, g3, math.inf, 0.5j * math.pi,
-                              None, -1j * math.pi / 6.0)
-    omega = math.pi / (2.0 * agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2)))
-    omega_p = 1j * math.pi / (2.0 * agm(math.sqrt(e1 - e3), math.sqrt(e2 - e3)))
-    coeffs = _series_coeffs(g2, g3)
-    horner = _horner_tuples(coeffs)
-    if not all(math.isfinite(c) for h in horner for c in h):
-        raise ConsistencyError(f"Laurent coefficients not finite at r = {r}")
-    k = EllipticKernel(r, e1, e2, e3, g2, g3, omega, omega_p, 0j, 0j, coeffs,
-                       horner)
-    return replace(k, eta=_eval_raw(k, complex(omega))[2],
-                   eta_p=_eval_raw(k, omega_p)[2])
+        g3 = math.inf
+    if not math.isfinite(g3):
+        raise ConsistencyError(f"invariant g3 overflows at r = {r}")
+    sr = math.sqrt(r)
+    s12 = math.sqrt((1.0 - r) * (1.0 + r) / r)          # sqrt(e1 - e2)
+    omega = math.pi / (2.0 * agm(1.0 / sr, s12)) if r < 1.0 else math.inf
+    omega_p = 1j * math.pi / (2.0 * agm(1.0 / sr, sr))
+    # the nome series about the shorter half-period omega1
+    if omega < abs(omega_p):
+        omega1 = complex(omega)
+        q = math.exp(-math.pi * abs(omega_p) / omega)
+    else:
+        omega1 = omega_p
+        q = math.exp(-math.pi * omega / abs(omega_p))      # 0 at r = 1
+    terms = _nome_terms(q)
+    eta1 = (math.pi ** 2 / (12.0 * omega1)
+            * (1.0 - 24.0 * sum(na for _, na, _ in terms)))
+    k = EllipticKernel(r, e1, e2, e3, g2, g3, omega, omega_p, None, 0j,
+                       math.pi / (2.0 * omega1), eta1, terms)
+    return replace(k, eta=_series(k, complex(omega))[2] if r < 1.0 else None,
+                   eta_p=_series(k, omega_p)[2])
 
 
-def _series_eval(k, z):
-    """(wp, wp', zeta) from the Laurent series; valid well inside the cell."""
-    u = z * z
-    p = dp = zt = 0j
-    for a, b, c in zip(*k.horner):
-        p = p * u + a
-        dp = dp * u + b
-        zt = zt * u + c
-    return p * u + 1.0 / u, dp * z - 2.0 / (u * z), 1.0 / z - zt * u * z
+def _series(k, z):
+    """(wp, wp', zeta) from the nome series; no lattice reduction."""
+    c = k.c
+    v = c * z
+    if abs(v.imag) > 355.0:
+        # sin(v)^2 overflows (far along the real axis at r = 1); NaN rather
+        # than cmath's OverflowError, which leaves errno set behind it
+        return _NAN3
+    sin = cmath.sin(v)
+    cot = cmath.cos(v) / sin
+    csc2 = 1.0 / (sin * sin)
+    # P(x) = sum n a_n x^n, Q(x) = sum n^2 a_n x^n and R(x) = sum a_n x^n
+    # at x = w and 1/w, w = e^{2iv}: 2 cos 2nv = w^n + w^-n and
+    # 2i sin 2nv = w^n - w^-n
+    p1 = p2 = q1 = q2 = r1 = r2 = 0j
+    if k.terms:
+        w = cmath.exp(2j * v)
+        wi = 1.0 / w
+        for a, na, n2a in k.terms:
+            p1 = (p1 + na) * w
+            p2 = (p2 + na) * wi
+            q1 = (q1 + n2a) * w
+            q2 = (q2 + n2a) * wi
+            r1 = (r1 + a) * w
+            r2 = (r2 + a) * wi
+    h = k.eta1 * c * (2.0 / math.pi)      # eta1/omega1
+    return (c * c * (csc2 - 4.0 * (p1 + p2)) - h,
+            c * c * c * (-2.0 * cot * csc2 - 8j * (q1 - q2)),
+            h * z + c * (cot - 2j * (r1 - r2)))
 
 
-def _eval_raw(k, z):
-    """(wp, wp', zeta) by series plus argument doubling; no lattice reduction."""
-    rmin = min(2.0 * k.omega, 2.0 * abs(k.omega_p))
-    target = 0.35 * rmin
-    for extra in range(4):
-        n = max(0, math.ceil(math.log2(max(abs(z), 1e-300) / target))) + extra
-        w = z / (1 << n) if n > 0 else z
-        p, dp, zt = _series_eval(k, w)
-        ok = True
-        for _ in range(n):
-            if abs(dp) < 1e-9 * (1.0 + abs(p)) ** 1.5:
-                ok = False  # doubling through a near-critical point; dither
-                break
-            m = (6.0 * p * p - 0.5 * k.g2) / dp
-            p2 = 0.25 * m * m - 2.0 * p
-            dp = -(dp + m * (p2 - p))
-            zt = 2.0 * zt + 0.5 * m
-            p = p2
-        if ok:
-            return p, dp, zt
-    return p, dp, zt
-
-
-def _reduce(k, z):
-    """Translate into the centered cell; returns (z0, n1, n2)."""
-    n2 = round(z.imag / (2.0 * abs(k.omega_p)))
-    n1 = round(z.real / (2.0 * k.omega))
-    return z - 2.0 * n1 * k.omega - 2.0 * n2 * k.omega_p, n1, n2
-
-
-def _eval_degenerate(z, need_zeta):
-    """(wp, wp', zeta) of the degenerate lattice (r = 1) from sinh z."""
-    # sinh(z)**3 overflows past |Re z| = 236, and the NaN that follows fails
-    # the callers' checks, so NumPy's warnings would be noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sh = np.sinh(z)
-        return (1.0 / 3.0 + 1.0 / sh ** 2, -2.0 * np.cosh(z) / sh ** 3,
-                -z / 3.0 + np.cosh(z) / sh if need_zeta else 0j)
-
-
-def _eval_all(k, z, need_zeta):
+def _eval_all(k, z):
+    """(wp, wp', zeta) after translation into the centered cell; at r = 1,
+    where omega = inf, only omega' translates."""
     z = complex(z)
-    if k.degenerate:
-        n = round(z.imag / math.pi)
-        z0 = z - 1j * math.pi * n
-        if abs(z0) < 1e-8:
-            raise PoleError(f"z = {z} is within 1e-8 of a lattice point")
-        return _eval_degenerate(z, need_zeta)
-    z0, n1, n2 = _reduce(k, z)
+    n1 = round(z.real / (2.0 * k.omega))
+    n2 = round(z.imag / (2.0 * abs(k.omega_p)))
+    z0 = z - 2.0 * n2 * k.omega_p
+    if n1:
+        z0 -= 2.0 * n1 * k.omega
     if abs(z0) < 1e-8:
         raise PoleError(f"z = {z} is within 1e-8 of a lattice point")
-    p, dp, zt = _eval_raw(k, z0)
-    if need_zeta:
-        zt = zt + 2.0 * n1 * k.eta + 2.0 * n2 * k.eta_p
+    p, dp, zt = _series(k, z0)
+    if n1:
+        zt += 2.0 * n1 * k.eta
+    if n2:
+        zt += 2.0 * n2 * k.eta_p
     return p, dp, zt
 
 
 def wp(k, z):
     """Weierstrass wp(z)."""
-    return _eval_all(k, z, False)[0]
+    return _eval_all(k, z)[0]
 
 
 def wp_prime(k, z):
     """Weierstrass wp'(z)."""
-    return _eval_all(k, z, False)[1]
+    return _eval_all(k, z)[1]
 
 
 def wzeta(k, z):
     """Weierstrass zeta(z) (quasi-periodic)."""
-    return _eval_all(k, z, True)[2]
+    return _eval_all(k, z)[2]
 
 
 def wp_all(k, z):
     """(wp, wp', zeta) in one evaluation."""
-    return _eval_all(k, z, True)
+    return _eval_all(k, z)
 
 
 def wp_small(k, z):
-    """(wp, wp', zeta) straight from the series; |z| must be well inside the
-    cell.  Used for stable evaluation near the poles of derived quantities."""
-    if k.degenerate:
-        return _eval_degenerate(z, True)
-    return _series_eval(k, complex(z))
+    """(wp, wp', zeta) by the same series without lattice reduction, for z
+    in the centered cell.  Used for stable evaluation near the poles of
+    derived quantities."""
+    return _series(k, complex(z))
 
 
 def domega_p_dr(k):

@@ -163,21 +163,21 @@ def test_figure3_stdout_identical_with_cold_and_warm_kernel_memo(capsys):
 FIGURE4_R07_R1_T3 = """\
 # config: {"command": "figure4", "jobs": 1, "r_list": "0.7,1.0", "t_steps": 3, "tol": 1e-08}
 r,t,re_tau_hat,im_tau_hat,willmore
-0.69999999999999996,-0.92653103379238799,-0.15641615823110755,5.9787809056610071,61.133081354857396
-0.69999999999999996,0,0.0078934682496804107,0.99996884609421266,19.893189236590338
-0.69999999999999996,0.92653103379238777,0.15641615823110908,5.9787809056610026,61.133081354857275
-1,-1,-8.2035002112797456e-16,7.3890560989306495,74.262766300956827
-1,0,-2.2204460492503131e-16,1,19.73920880217872
-1,1,8.2035002112797456e-16,7.3890560989306495,74.262766300956827
+0.69999999999999996,-0.92653103379238844,-0.15641615823110433,5.9787809056610044,61.133081354857254
+0.69999999999999996,0,0.0078934682496804107,0.99996884609421266,19.893189236590349
+0.69999999999999996,0.92653103379238844,0.15641615823110433,5.9787809056610044,61.133081354857254
+1,-1,-3.0763125792299061e-15,7.3890560989306531,74.262766300956841
+1,0,-2.2204460492503131e-16,1,19.739208802178716
+1,1,3.0763125792299061e-15,7.3890560989306531,74.262766300956841
 """
 
 WILLMORE_R07_T03 = (
     '{"config": {"command": "willmore", "grid": 192, '
     '"r": 0.7, "t": 0.3, "tol": 1e-08}, "result": '
-    '{"direct": 23.56696674909534, "explicit": 23.566966749093385, '
-    '"rel_direct_vs_explicit": 8.291234693643572e-14, '
-    '"rel_explicit_vs_residue": 2.2204077259299188e-11, '
-    '"residue": 23.566966749616668}}\n')
+    '{"direct": 23.566966749095357, "explicit": 23.566966749093385, '
+    '"rel_direct_vs_explicit": 8.366609554494877e-14, '
+    '"rel_explicit_vs_residue": 2.529128081004695e-12, '
+    '"residue": 23.56696674915299}}\n')
 
 
 def test_figure4_stdout_pinned(capsys):
@@ -264,8 +264,9 @@ def test_t_outside_the_family_is_a_domain_error(capsys, argv):
 
 
 def test_tau_tiny_r_is_a_numerical_failure(capsys):
-    # z_+ leaves the unit circle at r = 1e-9 (the Laurent coefficients
-    # overflow only at r <= 1e-12)
+    # z_+ leaves the unit circle at r = 1e-9: lam_h = e3 - wp(z_+) is a
+    # difference of two numbers near -3e8 (the invariant g3 overflows only
+    # at r < 2e-103)
     code, out, err = run(capsys, "tau", "--r", "1e-9")
     assert code == 3
     assert out == ""
@@ -281,7 +282,7 @@ def test_tau_tiny_r_is_a_numerical_failure(capsys):
                  "r = 1.0, t = 400.0", id="willmore-t400"),
 ])
 def test_overflowing_family_point_is_a_numerical_failure(capfd, argv, at):
-    # sinh(t) overflows and the values at z_+ are NaN: the checks in
+    # sin(v)^2 overflows at r = 1 and the values at z_+ are NaN: the checks in
     # Genus1Data.from_rt fail on NaN, before LAPACK sees one (capfd, not
     # capsys: LAPACK writes its complaints to the file descriptor)
     code = main(list(argv))
@@ -292,8 +293,8 @@ def test_overflowing_family_point_is_a_numerical_failure(capfd, argv, at):
 
 
 def test_overflow_at_r1_prints_only_the_failure_line():
-    # the powers of sinh overflow in the degenerate branch of the Weierstrass
-    # evaluator; NumPy's warnings about it must not reach stderr (a
+    # sin(v)^2 overflows in the Weierstrass evaluator at r = 1, t = 400 and
+    # the values are NaN; no warning about it may reach stderr (a
     # subprocess, since pytest would capture warnings raised in process)
     proc = run_process("tau", "--r", "1", "--t", "400")
     assert proc.returncode == 3
@@ -302,8 +303,6 @@ def test_overflow_at_r1_prints_only_the_failure_line():
                            "component at r = 1.0, t = 400.0\n")
 
 
-@pytest.mark.xfail(strict=True, reason="small r leaves the curve at z_+ "
-                   "(ROADMAP item 2: half-period reduction)")
 def test_figure4_small_r(capsys):
     code, _, _ = run(capsys, "figure4", "--r-list", "0.003", "--t-steps", "8")
     assert code == 0
@@ -356,7 +355,7 @@ def test_immersion_export(tmp_path, capsys):
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(
         ["immersion-export", "--r", "0.7", "--t", "0.2", "--grid", "6"],
-        "4c571f248a2614857736db62b913ca38b5d69a3ff9a6de602dc56e76a0d9d897",
+        "e9ae7d4ead775b0c7c9f724ad6f23471eff51f56b17bdd53330b55a0b508feeb",
         id="immersion-export"),
     pytest.param(
         ["flow", "--gamma", "2", "--alpha", "0.3", "0.1", "--to", "1.3",

@@ -32,12 +32,24 @@ def mixed(ordinary, special):
     return st.one_of(*[ordinary] * 5, st.sampled_from(special))
 
 
+def written(floats):
+    """Floats written in fixed point ("-0.000010") or, as often, with an
+    exponent ("-1.000000e-05")."""
+    return st.one_of(floats.map("{:.6f}".format), floats.map("{:.6e}".format))
+
+
 def number(lo, hi):
-    """A float argument in [lo, hi], or a special one.  Ordinary values are
-    written in fixed point ("-0.000010") or, as often, with an exponent
-    ("-1.000000e-05")."""
-    return mixed(st.one_of(st.floats(lo, hi).map("{:.6f}".format),
-                           st.floats(lo, hi).map("{:.6e}".format)), SPECIAL)
+    """A float argument in [lo, hi], or a special one."""
+    return mixed(written(st.floats(lo, hi)), SPECIAL)
+
+
+def r_number():
+    """An --r value: uniform in [0, 1.1] or, as often, log-uniform in
+    [1e-6, 1], which reaches the elongated lattices of small r; or a special
+    one."""
+    log_uniform = st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)
+    return mixed(st.one_of(written(st.floats(0.0, 1.1)), written(log_uniform)),
+                 SPECIAL)
 
 
 def count(hi):
@@ -69,14 +81,14 @@ def cli_argv(draw):
     if cmd == "flow":
         maybe("--to", small, small, required=True)
     if cmd in ("tau", "willmore", "immersion-export"):
-        maybe("--r", number(0.0, 1.1), required=cmd != "tau")
+        maybe("--r", r_number(), required=cmd != "tau")
         maybe("--t", small)
     if cmd in ("tau", "willmore"):
         maybe("--phi", number(-4.0, 4.0))
     if cmd == "willmore":
         maybe("--grid", count(12))
     if cmd in ("figure3", "figure4"):
-        rs = draw(st.lists(number(0.0, 1.1), min_size=0, max_size=2))
+        rs = draw(st.lists(r_number(), min_size=0, max_size=2))
         maybe("--r-list", st.just(",".join(rs)), required=True)
         maybe("--t-steps", count(3))
         maybe("--jobs", mixed(st.just("1"), ("0", "x")))

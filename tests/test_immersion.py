@@ -209,10 +209,13 @@ class TestWillmoreRoutes:
             assert abs(willmore_residue_g1(d) - ref) <= 1e-5 * ref
 
     def test_three_way_agreement(self, sample_m22):
-        rep = willmore_report(sample_m22, n_direct=128)
-        agree = rep.agreement
-        assert agree["explicit_vs_residue"] <= 1e-6
-        assert agree["direct_vs_explicit"] <= 1e-3
+        # r = 0.02 and 0.005: the residue samples scale with the lattice
+        for d in (sample_m22, Genus1Data.from_rt(0.02, 0.0),
+                  Genus1Data.from_rt(0.005, 0.0)):
+            rep = willmore_report(d, n_direct=128)
+            agree = rep.agreement
+            assert agree["explicit_vs_residue"] <= 1e-6
+            assert agree["direct_vs_explicit"] <= 1e-3
 
     def test_t_symmetry(self):
         for (r, t) in ((0.6, 0.4), (0.8, 0.15)):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from sgtori.errors import DomainError, PoleError
-from sgtori.weierstrass import (_series_eval, domega_p_dr, kernel_from_r,
-                                legendre_defect, omega_p_quadrature, wp,
-                                wp_all, wp_prime, wp_small, wzeta)
+from sgtori.weierstrass import (domega_p_dr, kernel_from_r, legendre_defect,
+                                omega_p_quadrature, wp, wp_all, wp_prime,
+                                wp_small, wzeta)
 
 
 def test_degenerate_kernel_values():
@@ -49,27 +49,41 @@ def test_r_domain_error():
 def test_kernel_memo_shares_one_immutable_kernel():
     k = kernel_from_r(0.42)
     assert kernel_from_r(0.42) is k
-    assert isinstance(k.coeffs, tuple)
+    assert isinstance(k.terms, tuple)
     with pytest.raises(TypeError):
-        k.coeffs[2] = 0.0
+        k.terms[0] = (0.0, 0.0, 0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        k.coeffs = None
+        k.terms = ()
+
+
+def _laurent_coeffs(g2, g3, n=28):
+    """c_0..c_n of wp(z) = z^-2 + sum_{k>=2} c_k z^(2k-2) (DLMF 23.9.3)."""
+    c = [0.0] * (n + 1)
+    c[2] = g2 / 20.0
+    c[3] = g3 / 28.0
+    for k in range(4, n + 1):
+        s = 0.0
+        for m in range(2, k - 1):
+            s += c[m] * c[k - m]
+        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
+    return c
 
 
 def _series_by_terms(k, z):
     """Reference: the Laurent series summed term by term in increasing powers."""
     p = dp = zt = 0j
-    for m in range(2, len(k.coeffs)):
-        cm = k.coeffs[m]
-        p += cm * z ** (2 * m - 2)
-        dp += (2 * m - 2) * cm * z ** (2 * m - 3)
-        zt -= cm * z ** (2 * m - 1) / (2 * m - 1)
+    c = _laurent_coeffs(k.g2, k.g3)
+    for m in range(2, len(c)):
+        p += c[m] * z ** (2 * m - 2)
+        dp += (2 * m - 2) * c[m] * z ** (2 * m - 3)
+        zt -= c[m] * z ** (2 * m - 1) / (2 * m - 1)
     return p + z ** -2, dp - 2.0 * z ** -3, zt + 1.0 / z
 
 
-@pytest.mark.parametrize("r", [0.05, 0.3, 0.7, 0.99])
+@pytest.mark.parametrize("r", [1e-4, 0.05, 0.3, 0.7, 0.99, 1.0])
 def test_horner_series_matches_term_by_term_sum(r):
-    # _eval_raw only evaluates the series at |w| <= 0.35 r_min
+    # the nome series of wp_small against the Laurent series about 0, which
+    # converges for |z| < r_min; at 0.35 r_min its 27 terms reach rounding
     k = kernel_from_r(r)
     rmin = min(2.0 * k.omega, 2.0 * abs(k.omega_p))
     for frac in (1e-3, 0.05, 0.2, 0.35):
@@ -77,44 +91,6 @@ def test_horner_series_matches_term_by_term_sum(r):
             z = frac * rmin * complex(math.cos(ang), math.sin(ang))
             for got, want in zip(wp_small(k, z), _series_by_terms(k, z)):
                 assert abs(got - want) <= 1e-14 * abs(want)
-
-
-def _horner_55(g2, g3):
-    """(P, Q, R) reversed, 55 terms: the c_k recurrence run to k = 56."""
-    c = [0.0] * 57
-    c[2] = g2 / 20.0
-    c[3] = g3 / 28.0
-    for k in range(4, 57):
-        s = 0.0
-        for m in range(2, k - 1):
-            s += c[m] * c[k - m]
-        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
-    js = range(54, -1, -1)
-    return (tuple(c[j + 2] for j in js),
-            tuple((2 * j + 2) * c[j + 2] for j in js),
-            tuple(c[j + 2] / (2 * j + 3) for j in js))
-
-
-def _bits(values):
-    return tuple((v.real.hex(), v.imag.hex()) for v in values)
-
-
-def test_series_term_count_is_bit_identical_to_55_terms():
-    # _eval_raw sums the series only at |w| <= 0.35 r_min; there the kernel's
-    # shorter series must give the same bits as 55 terms.  Of these 20,000
-    # points, 22 terms change 13 and 24 terms change 2.
-    rng = np.random.default_rng(20)
-    changed = []
-    for r in np.exp(rng.uniform(math.log(1e-6), 0.0, 100)):
-        k = kernel_from_r(float(r))
-        ref = types.SimpleNamespace(horner=_horner_55(k.g2, k.g3))
-        rmin = min(2.0 * k.omega, 2.0 * abs(k.omega_p))
-        rho = 0.35 * rmin * np.sqrt(rng.random(200))    # uniform in the disc
-        for w in rho * np.exp(2j * math.pi * rng.random(200)):
-            w = complex(w)
-            if _bits(_series_eval(k, w)) != _bits(_series_eval(ref, w)):
-                changed.append((float(r), w))
-    assert changed == []
 
 
 def test_ode_residual_on_grid():
@@ -184,10 +160,10 @@ def test_degenerate_closed_forms():
     assert abs(wzeta(k, z) - (-z / 3 + np.cosh(z) / np.sinh(z))) < 1e-14
 
 
-@pytest.mark.parametrize("x", [150.0, 250.0, 400.0, 800.0])
+@pytest.mark.parametrize("x", [150.0, 250.0, 400.0, 800.0, 1e300])
 def test_degenerate_overflow_raises_no_warning(x):
-    # sinh(z)**3 overflows past Re z = 236; the non-finite values are for the
-    # callers' checks to report, without NumPy warnings on stderr
+    # at r = 1, sin(v)^2 overflows past Re z = 355; the NaN values there are
+    # for the callers' checks to report, with no warning and no OverflowError
     k = kernel_from_r(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

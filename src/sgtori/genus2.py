@@ -37,7 +37,10 @@ k = 0..3, over A1, A2, B1, B2.  `period_table` computes them with one
 quadrature per cycle; the solve for b_w, the B-period map, the residual
 checks and the monodromy signs are linear algebra on that table.  Each
 capsule is checked by its winding numbers about the two enclosed and the
-excluded branch points, all taken from one sampling of the contour.
+excluded branch points, in closed form: the change of arg(lam - pt) summed
+over the capsule's segments and arcs, no sample taken.  Its distance to the
+branch points is exact too, and the quadrature nodes of each piece come
+from one evaluation on all its panels.
 
 Monodromy signs (`mu_at_roots`) continue ln mu from the puncture at 0 to each
 root.  The path starts at a base point lam0 with |lam0| = 0.04, in the
@@ -139,6 +142,9 @@ class HyperCurve:
 
 @dataclass(frozen=True)
 class Arc:
+    """center + radius e^{i theta} for theta from th0 to th1.  A negative
+    radius puts the point at theta opposite the angle: center - |radius|
+    e^{i theta}."""
     center: complex
     radius: float
     th0: float
@@ -159,7 +165,34 @@ class Arc:
 
     @property
     def length(self):
-        return self.radius * abs(self.th1 - self.th0)
+        return abs(self.radius * (self.th1 - self.th0))
+
+    def distance(self, e):
+        """Distance from e to the arc (a negative radius turns it by pi)."""
+        center, radius, th0, th1 = self.center, self.radius, self.th0, self.th1
+        if radius < 0.0:
+            radius, th0, th1 = -radius, th0 + math.pi, th1 + math.pi
+        ang = cmath.phase(e - center)
+        lo, hi = min(th0, th1), max(th0, th1)
+        k = math.floor((lo - ang) / (2.0 * math.pi)) + 1
+        if lo <= ang + 2.0 * math.pi * k <= hi:
+            return abs(abs(e - center) - radius)
+        return min(abs(e - (center + radius * cmath.exp(1j * th)))
+                   for th in (th0, th1))
+
+    def turn(self, e):
+        """Change of arg(lam - e) along the arc.
+
+        From outside the circle the arc subtends less than pi, so the change
+        is the principal angle between the end chords.  From inside, the
+        angle phi between lam - e and the outward normal lam - center stays
+        in (-pi/2, pi/2), and the change is the sweep plus the change of phi.
+        """
+        z0, z1 = self.point_at(0.0), self.point_at(1.0)
+        if abs(e - self.center) >= abs(self.radius):
+            return cmath.phase((z1 - e) / (z0 - e))
+        return (self.th1 - self.th0 + cmath.phase((z1 - e) / (z1 - self.center))
+                - cmath.phase((z0 - e) / (z0 - self.center)))
 
 
 @dataclass(frozen=True)
@@ -179,32 +212,46 @@ class Segment:
     def length(self):
         return abs(self.z1 - self.z0)
 
+    def distance(self, e):
+        return _seg_distance(self.z0, self.z1, e)
+
+    def turn(self, e):
+        """Change of arg(lam - e) along the segment, less than pi."""
+        return cmath.phase((self.z1 - e) / (self.z0 - e))
+
+
+# a point this close to a piece, relative to the size of the coordinates,
+# is on the contour: its winding number is undefined
+_ON_CONTOUR = 1e-12
+
 
 @dataclass
 class Contour:
     pieces: list
     label: str = ""
 
-    def windings(self, pts, n=4096):
-        """Winding numbers about each of pts, from one midpoint sampling of
-        the contour (n samples per piece) shared by all the points."""
-        s = (np.arange(n) + 0.5) / n
-        lam = np.concatenate([p.point(s) for p in self.pieces])
-        dl = np.concatenate([p.dpoint(s) for p in self.pieces]) / n
-        return [round(float(np.sum((dl / (lam - pt)).imag)) / (2.0 * math.pi))
-                for pt in pts]
+    def windings(self, pts):
+        """Winding numbers about each of pts, in closed form: the change of
+        arg(lam - pt) summed piece by piece.  A point on the contour raises
+        ContourError."""
+        extent = max(abs(p.point_at(0.0)) + p.length for p in self.pieces)
+        out = []
+        for pt in pts:
+            pt = complex(pt)
+            tol = _ON_CONTOUR * (abs(pt) + extent)
+            if self.min_distance([pt]) <= tol:
+                raise ContourError(f"point {pt} lies on the contour")
+            out.append(round(sum(p.turn(pt) for p in self.pieces)
+                             / (2.0 * math.pi)))
+        return out
 
-    def winding(self, pt, n=4096):
-        return self.windings([pt], n)[0]
+    def winding(self, pt):
+        return self.windings([pt])[0]
 
-    def min_distance(self, pts, n=2048):
-        s = (np.arange(n) + 0.5) / n
-        d = math.inf
-        for p in self.pieces:
-            lam = p.point(s)
-            for pt in pts:
-                d = min(d, float(np.min(np.abs(lam - pt))))
-        return d
+    def min_distance(self, pts):
+        """Exact distance from the contour to the nearest of pts."""
+        return min((p.distance(complex(pt)) for p in self.pieces for pt in pts),
+                   default=math.inf)
 
 
 def circle(center, radius):
@@ -218,18 +265,6 @@ def _seg_distance(p, q, e):
     t = ((e - p) * np.conj(d)).real / abs(d) ** 2
     t = min(1.0, max(0.0, t))
     return abs(e - (p + t * d))
-
-
-def _arc_chain_distance(center, radius, th0, th1, e):
-    """Distance from e to the arc of angles [th0, th1] (th0 < th1)."""
-    ang = cmath.phase(e - center)
-    lo, hi = min(th0, th1), max(th0, th1)
-    k = math.floor((lo - ang) / (2.0 * math.pi)) + 1
-    inside = lo <= ang + 2.0 * math.pi * k <= hi
-    if inside:
-        return abs(abs(e - center) - radius)
-    ds = [abs(e - (center + radius * cmath.exp(1j * th))) for th in (th0, th1)]
-    return min(ds)
 
 
 def _straight_capsule(p, q, w):
@@ -282,17 +317,14 @@ def capsule_around(p, q, excluded, min_width=1e-9):
     clear, otherwise an arc capsule bulged off the blocked chord."""
     p, q = complex(p), complex(q)
     best = None
-    d_straight = min((_seg_distance(p, q, e) for e in excluded),
-                     default=math.inf)
+    d_straight = Contour([Segment(p, q)]).min_distance(excluded)
     cands = []
     if d_straight > min_width / 0.45:
         cands.append(("straight", None, d_straight))
     el = abs(q - p)
     for sag in (0.35 * el, -0.35 * el, 0.6 * el, -0.6 * el, 0.9 * el, -0.9 * el):
-        _, geom = _arc_capsule(p, q, sag, 0.0)
-        center, radius, th0, th1 = geom
-        d = min((_arc_chain_distance(center, radius, th0, th1, e)
-                 for e in excluded), default=math.inf)
+        chord = Arc(*_arc_capsule(p, q, sag, 0.0)[1])
+        d = Contour([chord]).min_distance(excluded)
         cands.append(("arc", sag, d))
     for kind, sag, d in cands:
         if best is None or d > best[2]:
@@ -382,16 +414,16 @@ def _panelize(piece, branch_points, base_panels):
 
 
 def _contour_nodes(curve, contour, base_panels):
-    """Ordered quadrature nodes (lam, weight*dlam) over the whole contour."""
+    """Ordered quadrature nodes (lam, weight*dlam) over the whole contour,
+    each piece evaluated once on its (panels, 12) array of nodes."""
     lam_all = []
     w_all = []
     for piece in contour.pieces:
-        for (s0, s1) in _panelize(piece, curve.branch_points, base_panels):
-            s = 0.5 * (s0 + s1) + 0.5 * (s1 - s0) * _GX
-            lam = piece.point(s)
-            dl = piece.dpoint(s) * 0.5 * (s1 - s0)
-            lam_all.append(lam)
-            w_all.append(_GW * dl)
+        bounds = np.array(_panelize(piece, curve.branch_points, base_panels))
+        s0, s1 = bounds[:, :1], bounds[:, 1:]
+        s = 0.5 * (s0 + s1) + 0.5 * (s1 - s0) * _GX
+        lam_all.append(piece.point(s).ravel())
+        w_all.append((_GW * (piece.dpoint(s) * 0.5 * (s1 - s0))).ravel())
     return np.concatenate(lam_all), np.concatenate(w_all)
 
 
@@ -594,6 +626,13 @@ class PeriodLatticeG2:
     condition: float
     moments: np.ndarray   # the period_table the generators come from
 
+    def contains(self, w):
+        """Whether w is within 1e-6 max(1, |w|) of m omega1 + n omega2,
+        |m|, |n| <= 6."""
+        near = min(abs(w - (m * self.omega1 + n * self.omega2))
+                   for m in range(-6, 7) for n in range(-6, 7))
+        return near <= 1e-6 * max(1.0, abs(w))
+
     def to_json_dict(self):
         return {
             "class": "M2_1",
@@ -696,9 +735,7 @@ def mu_at_roots(curve, lattice, omega, tol=1e-4):
     root; admissible lattice vectors give ln mu in i pi Z at every root.
     Returns (signs, deviations) with signs in {+1, -1}.
     """
-    near = min(abs(omega - (m * lattice.omega1 + n * lattice.omega2))
-               for m in range(-6, 7) for n in range(-6, 7))
-    if near > 1e-6 * max(1.0, abs(omega)):
+    if not lattice.contains(omega):
         raise PathIntegrationError("omega is not a lattice vector")
     b = _solve_b(lattice.moments[:2], omega)
     roots = curve.roots

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sgtori.errors import BranchCollisionError, ClassError, PathIntegrationError
+from sgtori.errors import (BranchCollisionError, ClassError, ContourError,
+                           PathIntegrationError)
 from sgtori.genus1 import Genus1Data, lattice_g1
 from sgtori import genus2
 from sgtori.genus2 import (HyperCurve, _track_nu, build_cycles, b_period_map,
@@ -313,7 +314,8 @@ def test_lattice_generators_are_flow_periods(name):
     # end-to-end cross-validation of two independent routes: the lattice from
     # contour integrals must consist of actual periods of the commuting flows
     # (the potential returns and the frame monodromy commutes with zeta_0);
-    # half a generator is no period (negative control)
+    # half a generator and conj(omega1), where it is off the lattice, are no
+    # periods (negative controls)
     from sgtori.laxflows import frame_at
     from sgtori.potentials import Potential, eval_zeta, spectral_poly
     a0, a1, b0, b1, gamma = _FLOW_PERIOD_DRAWS[name]
@@ -335,6 +337,12 @@ def test_lattice_generators_are_flow_periods(name):
             comm = F[k] @ z0 - z0 @ F[k]
             assert np.max(np.abs(comm)) <= 1e-6
     assert miss(0.5 * lat.omega1, ())[1] > 1e-3
+    # conj(omega1) lies within 6e-4 to 5e-2 of a lattice vector on these
+    # draws, and the potential misses by about as much; a period returns
+    # within 1e-8
+    w = np.conj(lat.omega1)
+    assert not lat.contains(w)
+    assert miss(w, ())[1] > 1e-6
 
 
 # signs and deviations of mu_at_roots at omega1, omega2 and omega1 + omega2 on
@@ -422,11 +430,15 @@ _MU_DRAWS = {
 }
 
 
-def _draw_curve_and_lattice(name):
+def _draw_curve(name):
     from sgtori.potentials import Potential, spectral_poly
     a0, a1, b0, b1, gamma = _FLOW_PERIOD_DRAWS[name]
     p0 = Potential(complex(a0, a1), complex(b0, b1), gamma)
-    curve = HyperCurve.from_quartic(classify(spectral_poly(p0)))
+    return HyperCurve.from_quartic(classify(spectral_poly(p0)))
+
+
+def _draw_curve_and_lattice(name):
+    curve = _draw_curve(name)
     return curve, period_lattice(curve)
 
 
@@ -465,6 +477,12 @@ def test_monodromy_paths_have_at_most_two_clear_legs(name, monkeypatch):
                 assert genus2._seg_distance(a, b, o) >= c
 
 
+def test_mu_at_roots_rejects_a_nan_omega(biquadratic, biq_lattice):
+    # NaN is near no lattice vector
+    with pytest.raises(PathIntegrationError):
+        mu_at_roots(biquadratic, biq_lattice, complex("nan"))
+
+
 def test_path_that_cannot_clear_raises_at_the_cap():
     # the end point sits inside the obstacle's clearance, so no waypoint
     # can clear the last leg
@@ -472,30 +490,190 @@ def test_path_that_cannot_clear_raises_at_the_cap():
         genus2._avoiding_path(0.0 + 0j, 1.0 + 0j, [1.0 + 0.05j], 0.1)
 
 
-def _winding_reference(contour, pt, n=4096):
-    """Winding number about pt, piece by piece (one sampling per point)."""
+def _winding_reference(contour, pts, n=4096):
+    """Winding numbers about pts by dense midpoint sampling of each piece."""
     s = (np.arange(n) + 0.5) / n
-    total = 0.0
+    pts = np.asarray(pts, dtype=complex)[:, None]
+    total = np.zeros(len(pts))
     for p in contour.pieces:
-        total += float(np.sum((p.dpoint(s) / n / (p.point(s) - pt)).imag))
-    return round(total / (2.0 * math.pi))
+        total += np.sum((p.dpoint(s) / n / (p.point(s) - pts)).imag, axis=1)
+    return [round(float(t) / (2.0 * math.pi)) for t in total]
+
+
+def _sampled_distance(contour, pts, n=2048):
+    """Least distance from pts to n midpoint samples of each piece."""
+    s = (np.arange(n) + 0.5) / n
+    return min(float(np.min(np.abs(p.point(s) - pt)))
+               for p in contour.pieces for pt in pts)
+
+
+# the biquadratic (bulged capsules), the split curve (straight ones) and the
+# table draws, of which generic_cheap and p0 have an inner arc of negative
+# radius
+_CAPSULE_CURVES = ["biquadratic", "split", *_FLOW_PERIOD_DRAWS]
+
+
+def _named_curve(name, biquadratic):
+    if name == "biquadratic":
+        return biquadratic
+    return split_curve(1e-2) if name == "split" else _draw_curve(name)
+
+
+def _capsules(curve):
+    cycles = build_cycles(curve)
+    for cont in (cycles.a1, cycles.a2, cycles.b1, cycles.b2):
+        yield cont
+        yield genus2.reverse_contour(cont)
+
+
+def _negative_arc(cont):
+    return any(isinstance(p, genus2.Arc) and p.radius < 0.0
+               for p in cont.pieces)
+
+
+def _offset_points(cont, fractions=(0.3, 0.05, 0.01)):
+    """Points on both sides of each piece at s = 0.1, 0.5, 0.9, offset by the
+    given fractions of the piece's length."""
+    pts = []
+    for piece in cont.pieces:
+        for s in (0.1, 0.5, 0.9):
+            z, t = piece.point_at(s), piece.dpoint(s)
+            for f in fractions:
+                off = f * piece.length * 1j * t / abs(t)
+                pts += [z + off, z - off]
+    return pts
+
+
+def _check_windings(curve):
+    """Closed-form windings of every capsule of curve and of its reversal,
+    about the branch points and offset points, against the dense oracle."""
+    for cont in _capsules(curve):
+        pts = list(curve.branch_points) + _offset_points(cont)
+        got = cont.windings(pts)
+        assert got == [cont.winding(pt) for pt in pts]
+        assert got == _winding_reference(cont, pts)
+        inside = -1 if cont.label.endswith("-rev") else 1
+        nb = len(curve.branch_points)
+        assert got[:nb].count(inside) == 2 and got[:nb].count(0) == nb - 2
+        if _negative_arc(cont):
+            # an inner arc of negative radius runs on the far side of its
+            # center, so the capsule crosses itself and a few offset points
+            # by that arc wind twice
+            assert {0, inside} <= set(got[nb:]) <= {0, inside, 2 * inside}
+        else:
+            assert set(got[nb:]) == {0, inside}
 
 
 @pytest.mark.parametrize("eps", [None, 1e-2])
 def test_one_sampling_windings_equal_point_by_point(eps, biquadratic):
     # the biquadratic's capsules are bulged; the split curve's are straight
-    curve = biquadratic if eps is None else split_curve(eps)
-    cycles = build_cycles(curve)
-    for cont in (cycles.a1, cycles.a2, cycles.b1, cycles.b2):
-        pts = list(curve.branch_points)
+    _check_windings(biquadratic if eps is None else split_curve(eps))
+
+
+@pytest.mark.parametrize("name", ["generic_cheap", "p0"])
+def test_windings_about_capsules_with_negative_radius_arcs(name):
+    curve = _draw_curve(name)
+    assert any(_negative_arc(c) for c in _capsules(curve))
+    _check_windings(curve)
+
+
+def test_closed_form_windings_of_full_circles():
+    # a full turn, from inside and outside, both ways round, and arcs of
+    # negative radius (the point at theta is center - |radius| e^{i theta})
+    for c in (genus2.circle(0.3 - 0.2j, 0.7), genus2.circle(0.0, 1e-3)):
+        arc = c.pieces[0]
+        for pt in (arc.center, arc.center + 0.999 * arc.radius,
+                   arc.center + 1.001j * arc.radius):
+            want = 1 if abs(pt - arc.center) < arc.radius else 0
+            assert c.winding(pt) == want
+            assert genus2.reverse_contour(c).winding(pt) == -want
+    neg = genus2.Contour([genus2.Arc(1.0 + 0j, -0.5, 0.0, 2.0 * math.pi)])
+    assert abs(neg.pieces[0].point_at(0.0) - 0.5) < 1e-15
+    assert neg.windings([1.0, 1.2j, 1.4, 1.6]) == [1, 0, 1, 0]
+
+
+def test_point_on_the_contour_raises(biquadratic):
+    for cont in _capsules(biquadratic):
         for piece in cont.pieces:
-            for s in (0.1, 0.5, 0.9):
-                z, t = piece.point(s), piece.dpoint(s)
-                pts += [z + 1e-3j * t / abs(t), z - 1e-3j * t / abs(t)]
-        got = cont.windings(pts)
-        assert got == [cont.winding(pt) for pt in pts]
-        assert got == [_winding_reference(cont, pt) for pt in pts]
-        assert set(got[len(curve.branch_points):]) == {0, 1}
+            for s in (0.0, 0.37, 1.0):
+                with pytest.raises(ContourError):
+                    cont.windings([0.0, piece.point_at(s)])
+    with pytest.raises(ContourError):
+        genus2.circle(0.0, 1.0).winding(1j)
+
+
+@pytest.mark.parametrize("name", ["biquadratic", "split", "generic_cheap",
+                                  "p0"])
+def test_exact_min_distance_against_sampling(name, biquadratic):
+    # the exact distance is at most the sampled one and within the sampling
+    # error: half a sample spacing of the longest piece
+    curve = _named_curve(name, biquadratic)
+    for cont in _capsules(curve):
+        gap = max(p.length for p in cont.pieces) / 4096.0
+        for pt in list(curve.branch_points) + _offset_points(cont):
+            exact = cont.min_distance([pt])
+            sampled = _sampled_distance(cont, [pt])
+            assert exact <= sampled + 1e-15
+            assert sampled - exact <= gap + 1e-15
+    arc = genus2.Arc(0.5 + 0.5j, -0.25, 0.0, 0.5 * math.pi)
+    assert arc.length == 0.125 * math.pi
+    cont = genus2.Contour([arc])
+    # the arc runs through the third quadrant about its centre: a point on
+    # the ray of angle 1.2 + pi is nearest to the arc's point there, a point
+    # on the ray of angle 0.7 nearest to an end
+    c = 0.5 + 0.5j
+    assert abs(cont.min_distance([c]) - 0.25) < 1e-15
+    assert abs(cont.min_distance([c - 0.1 * np.exp(1.2j)]) - 0.15) < 1e-15
+    far = c + 0.1 * np.exp(0.7j)
+    assert cont.min_distance([far]) == min(abs(far - (c - 0.25)),
+                                           abs(far - (c - 0.25j)))
+
+
+def _contour_nodes_reference(curve, contour, base_panels):
+    """The nodes panel by panel, one point/dpoint evaluation per panel."""
+    lam_all = []
+    w_all = []
+    for piece in contour.pieces:
+        for (s0, s1) in genus2._panelize(piece, curve.branch_points,
+                                         base_panels):
+            s = 0.5 * (s0 + s1) + 0.5 * (s1 - s0) * genus2._GX
+            lam = piece.point(s)
+            dl = piece.dpoint(s) * 0.5 * (s1 - s0)
+            lam_all.append(lam)
+            w_all.append(genus2._GW * dl)
+    return np.concatenate(lam_all), np.concatenate(w_all)
+
+
+@pytest.mark.parametrize("name", ["biquadratic", "split", "generic_cheap",
+                                  "dear1"])
+def test_contour_nodes_equal_panel_by_panel(name, biquadratic):
+    curve = _named_curve(name, biquadratic)
+    for cont in _capsules(curve):
+        for panels in (4, 32):
+            lam, w = genus2._contour_nodes(curve, cont, panels)
+            lam_ref, w_ref = _contour_nodes_reference(curve, cont, panels)
+            assert np.array_equal(lam, lam_ref)
+            assert np.array_equal(w, w_ref)
+
+
+def test_every_panel_keeps_its_distance_rule(biquadratic):
+    # a panel is at most 0.45 of the distance from its midpoint to the
+    # nearest branch point long, unless it is at the 2^-26 floor; the
+    # length is |dpoint| (s1 - s0), which does not depend on Arc.length
+    checked_negative = False
+    for name in _CAPSULE_CURVES:
+        curve = _named_curve(name, biquadratic)
+        bp = curve.branch_points
+        for cont in _capsules(curve):
+            checked_negative |= _negative_arc(cont)
+            for piece in cont.pieces:
+                speed = abs(piece.dpoint(0.5))
+                for s0, s1 in genus2._panelize(piece, bp, 4):
+                    mid = piece.point_at(0.5 * (s0 + s1))
+                    dist = min(abs(mid - b) for b in bp)
+                    assert (speed * (s1 - s0) <= 0.45 * dist
+                            or s1 - s0 <= 2.0 ** -26)
+    assert checked_negative
 
 
 def test_nu_sq_from_exact_roots_keeps_its_relative_accuracy():

@@ -52,9 +52,11 @@ distance to lam0: a leg from lam0 could never clear more.  A pass bends each
 leg that comes too close round its worst obstacle, and the path is done
 after a pass that changes nothing; on every draw of
 perfbench/g2_potentials.json that takes one or two legs.  A path still too close after 16 passes raises
-PathIntegrationError.  The signs do not depend on the path: another
-homotopy class changes ln mu by B-periods in 2 pi i Z, or negates it on the
-other sheet.
+PathIntegrationError.  The short first leg out of the puncture is shared by
+the four roots and integrated once; the last leg into each root takes the
+same parity rule panel to panel, in one pass.  The signs do not depend on
+the path: another homotopy class changes ln mu by B-periods in 2 pi i Z, or
+negates it on the other sheet.
 """
 
 import cmath
@@ -314,27 +316,28 @@ def _arc_capsule(p, q, sagitta, w):
 
 def capsule_around(p, q, excluded, min_width=1e-9):
     """Contour enclosing exactly {p, q}: a straight capsule when the chord is
-    clear, otherwise an arc capsule bulged off the blocked chord."""
+    clear, otherwise an arc capsule bulged off the blocked chord.  Of the
+    candidate chords the one farthest from the excluded points is taken; the
+    capsule's half-width is 0.45 of that distance, and at most half the
+    chord's radius."""
     p, q = complex(p), complex(q)
-    best = None
     d_straight = Contour([Segment(p, q)]).min_distance(excluded)
-    cands = []
+    cands = []   # (sagitta, distance, chord radius); sagitta None: straight
     if d_straight > min_width / 0.45:
-        cands.append(("straight", None, d_straight))
+        cands.append((None, d_straight, math.inf))
     el = abs(q - p)
     for sag in (0.35 * el, -0.35 * el, 0.6 * el, -0.6 * el, 0.9 * el, -0.9 * el):
         chord = Arc(*_arc_capsule(p, q, sag, 0.0)[1])
         d = Contour([chord]).min_distance(excluded)
-        cands.append(("arc", sag, d))
-    for kind, sag, d in cands:
-        if best is None or d > best[2]:
-            best = (kind, sag, d)
-    kind, sag, d = best
-    if d * 0.45 < min_width:
+        cands.append((sag, d, chord.radius))
+    sag, d, radius = max(cands, key=lambda c: c[1])
+    # half the chord radius keeps the inner arc of an arc capsule on the
+    # near side of its center, so that it cannot cross the outer pieces
+    w = min(0.45 * d, 0.5 * radius)
+    if w < min_width:
         raise ContourError(
             f"no contour around ({p}, {q}) clears the excluded points")
-    w = 0.45 * d
-    cont = (_straight_capsule(p, q, w) if kind == "straight"
+    cont = (_straight_capsule(p, q, w) if sag is None
             else _arc_capsule(p, q, sag, w)[0])
     wind_p, wind_q, *wind_excl = cont.windings([p, q, *excluded])
     if wind_p not in (1, -1) or wind_q not in (1, -1):
@@ -438,11 +441,24 @@ def _track_nu(curve, lam, start=None):
     right angle, could be resolved differently.
     """
     nu = np.sqrt(curve.nu_sq(lam))
-    prev = np.empty_like(nu)
-    prev[1:] = nu[:-1]
-    prev[0] = nu[0] if start is None else start
-    flip = np.abs(nu - prev) > np.abs(nu + prev)
-    return np.where(np.cumsum(flip) % 2 == 1, -nu, nu)
+    return np.where(_flipped(nu, nu, nu[0] if start is None else start),
+                    -nu, nu)
+
+
+def _flipped(first, last, start):
+    """Whether piece i of a continued root takes the negated principal value.
+
+    Piece i starts at first[i] and ends at last[i] (principal values); it
+    matches the end of piece i - 1 by nearest value, and piece 0 matches
+    start.  It flips against its predecessor's principal value exactly where
+    |first[i] - last[i-1]| > |first[i] + last[i-1]|, so the sign is the parity
+    of the flips so far.
+    """
+    prev = np.empty_like(first)
+    prev[0] = start
+    prev[1:] = last[:-1]
+    flip = np.abs(first - prev) > np.abs(first + prev)
+    return np.cumsum(flip) % 2 == 1
 
 
 def nu_on_contour(curve, contour, n=2048):
@@ -522,8 +538,12 @@ class BOmega:
                          -np.conj(w)])
 
     def __call__(self, lam):
-        c = self.coeffs()
-        return c[0] + c[1] * lam + c[2] * lam ** 2 + c[3] * lam ** 3
+        return _cubic(self.coeffs(), lam)
+
+
+def _cubic(c, lam):
+    """c[0] + c[1] lam + c[2] lam^2 + c[3] lam^3, in that power form."""
+    return c[0] + c[1] * lam + c[2] * lam ** 2 + c[3] * lam ** 3
 
 
 _POWERS = tuple((lambda lam, k=k: lam ** k) for k in range(4))
@@ -727,17 +747,42 @@ def _avoiding_path(z0, z1, obstacles, clearance):
         "passes")
 
 
+def _last_leg(bc, root, others, approach, nu_here):
+    """Integral of b(lam)/(2 nu lam) dlam from `approach`, where the branch
+    of nu is nu_here, to `root`: in u = sqrt(lam - root) it is
+    b/(t lam) du with t = nu / u, over 24 panels continued by the parity
+    rule of mu_at_roots."""
+    r0, r1, r2 = others
+    u1 = cmath.sqrt(approach - root)
+    _, u, _, half = _panels(u1, 0.0, 24)
+    lam = root + u * u
+    tv = np.sqrt(-lam * ((lam - r0) * (lam - r1) * (lam - r2)))
+    flipped = _flipped(tv[:, 0], tv[:, -1], nu_here / u1)
+    tv = np.where(flipped[:, None], -tv, tv)
+    return np.sum(_GW * _cubic(bc, lam) / (tv * lam) * half)
+
+
 def mu_at_roots(curve, lattice, omega, tol=1e-4):
     """Signs of the monodromy eigenvalue at the four roots of the quartic.
 
     The logarithm is continued from the puncture over lam = 0 (where the
     normalized eigenvalue equals one) along branch-tracked paths to each
     root; admissible lattice vectors give ln mu in i pi Z at every root.
+    The first leg, in w = sqrt(lam) from 0 to sqrt(lam0), is the same for
+    every root and is integrated once.  The last leg runs in
+    u = sqrt(lam - root) from the approach point to the root over 24 panels,
+    with t = nu / u, which stays finite there.  t is continued panel to
+    panel in one pass: a panel takes the principal values of t at its nodes,
+    negated where the parity of the mismatches up to it is odd.  Panel k
+    mismatches where its first node is nearer the negated than the principal
+    value at the last node of panel k - 1; panel 0 is compared with the
+    nu / u carried in from the waypoint legs.  Inside a panel the principal
+    values are kept.
     Returns (signs, deviations) with signs in {+1, -1}.
     """
     if not lattice.contains(omega):
         raise PathIntegrationError("omega is not a lattice vector")
-    b = _solve_b(lattice.moments[:2], omega)
+    bc = _solve_b(lattice.moments[:2], omega).coeffs()
     roots = curve.roots
     sep = min(min(abs(r - s) for s in roots if s is not r) for r in roots)
     rho = min(0.1 * sep, 0.05)
@@ -767,21 +812,23 @@ def mu_at_roots(curve, lattice, omega, tol=1e-4):
         s = np.sqrt(av)
         # branch: continuous from s(0) = 1; safe while Re stays positive
         s = np.where(s.real < 0, -s, s)
-        br = b(lam) + omega * (a_der(lam) * lam - av)
+        br = _cubic(bc, lam) + omega * (a_der(lam) * lam - av)
         return -1j * br / (s * wv * wv)
 
+    s_w = cmath.sqrt(a_val(np.array([lam0]))[0])
+    if s_w.real < 0:
+        s_w = -s_w
+    ln_mu0 = 1j * omega * s_w / w0 + _segment_quad(dh, 0.0, w0, 16)
     results = []
     devs = []
     for root in roots:
-        s_w = cmath.sqrt(a_val(np.array([lam0]))[0])
-        if s_w.real < 0:
-            s_w = -s_w
-        ln_mu = 1j * omega * s_w / w0 + _segment_quad(dh, 0.0, w0, 16)
+        ln_mu = ln_mu0
         nu_here = 1j * w0 * s_w
         # waypoint path to the approach point of this root
         approach = root + rho * (lam0 - root) / abs(lam0 - root)
-        obstacles = [r for r in roots if r is not root] + [0.0]
-        wp = _avoiding_path(lam0, approach, obstacles, min(0.3 * abs(root), 0.4 * sep))
+        others = [r for r in roots if r is not root]
+        wp = _avoiding_path(lam0, approach, others + [0.0],
+                            min(0.3 * abs(root), 0.4 * sep))
         for z0, z1 in zip(wp, wp[1:]):
             npan = min(max(8, int(8 * abs(z1 - z0) / rho)), 400)
             # the leg as (npan, 14) panels [a, 12 Gauss nodes, b], tracked
@@ -790,21 +837,9 @@ def mu_at_roots(curve, lattice, omega, tol=1e-4):
             nu = _track_nu(curve, np.hstack([a, z, bseg]).ravel(),
                            start=nu_here)
             nu_nodes = nu.reshape(npan, _GAUSS_N + 2)[:, 1:-1]
-            ln_mu += np.sum(_GW * b(z) / (2.0 * nu_nodes * z) * half)
+            ln_mu += np.sum(_GW * _cubic(bc, z) / (2.0 * nu_nodes * z) * half)
             nu_here = nu[-1]
-        # final leg in the u = sqrt(lam - root) coordinate, t = nu / u
-        # matched panel to panel
-        rest_roots = [r for r in roots if r is not root]
-        u1 = cmath.sqrt(approach - root)
-        t_match = nu_here / u1
-        _, u, _, half = _panels(u1, 0.0, 24)
-        for u_k, half_k in zip(u, half):
-            lam = root + u_k * u_k
-            tv = np.sqrt(-lam * np.prod([lam - r for r in rest_roots], axis=0))
-            if abs(tv[0] - t_match) > abs(tv[0] + t_match):
-                tv = -tv
-            ln_mu += np.sum(_GW * b(lam) / (tv * lam) * half_k)
-            t_match = tv[-1]
+        ln_mu += _last_leg(bc, root, others, approach, nu_here)
         k_img = ln_mu.imag / math.pi
         k_round = round(k_img)
         dev = abs(ln_mu - 1j * math.pi * k_round)

@@ -20,6 +20,7 @@ Admissible quartics satisfy lam^-2 a(lam) >= 0 on the unit circle; they split
 into five strata by root multiplicities and position relative to |lam| = 1.
 """
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -140,17 +141,30 @@ def unit_circle_values(q, n=256):
     return th, v
 
 
+def _circle_value(coeffs, t):
+    """lam^-2 a(lam) at lam = e^{it}: Horner's rule on the coefficients
+    (Python complex numbers, highest power first) at one Python float t."""
+    lam = cmath.exp(1j * t)
+    v = 0j
+    for c in coeffs:
+        v = v * lam + c
+    return v * cmath.exp(-2j * t)
+
+
 def check_membership(q, tol=1e-10):
     """Raise MembershipError unless lam^-2 a(lam) >= -tol on the unit circle.
 
-    A 256-point grid scan plus parabolic refinement around the grid minimum.
+    A 256-point grid scan plus a 40-step golden-section refinement around
+    the grid minimum, on Python scalars.
     """
     th, v = unit_circle_values(q)
     vr = v.real
     i = int(np.argmin(vr))
     # refine the minimum on the circle with a short golden-section search
-    lo, hi = th[i] - 2 * np.pi / 256, th[i] + 2 * np.pi / 256
-    f = lambda t: (q(np.exp(1j * t)) * np.exp(-2j * t)).real
+    ti = float(th[i])
+    lo, hi = ti - 2 * np.pi / 256, ti + 2 * np.pi / 256
+    coeffs = q.coeffs().tolist()
+    f = lambda t: _circle_value(coeffs, t).real
     for _ in range(40):
         m1 = lo + 0.381966 * (hi - lo)
         m2 = hi - 0.381966 * (hi - lo)

@@ -1,4 +1,7 @@
+import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,10 @@ from sgtori.genus2 import (HyperCurve, _track_nu, build_cycles, b_period_map,
                            mu_at_roots, nu_on_contour, period_lattice,
                            period_table, solve_b_omega)
 from sgtori.modular import lattice_distance
-from sgtori.potentials import (SpectralQuartic, classify, quartic_from_roots)
+from sgtori.potentials import (Potential, SpectralQuartic, classify,
+                               quartic_from_roots, spectral_poly)
+
+_G2_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "g2_potentials.json"
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +323,7 @@ def test_lattice_generators_are_flow_periods(name):
     # half a generator and conj(omega1), where it is off the lattice, are no
     # periods (negative controls)
     from sgtori.laxflows import frame_at
-    from sgtori.potentials import Potential, eval_zeta, spectral_poly
+    from sgtori.potentials import eval_zeta
     a0, a1, b0, b1, gamma = _FLOW_PERIOD_DRAWS[name]
     p0 = Potential(complex(a0, a1), complex(b0, b1), gamma)
     curve = HyperCurve.from_quartic(classify(spectral_poly(p0)))
@@ -431,7 +437,6 @@ _MU_DRAWS = {
 
 
 def _draw_curve(name):
-    from sgtori.potentials import Potential, spectral_poly
     a0, a1, b0, b1, gamma = _FLOW_PERIOD_DRAWS[name]
     p0 = Potential(complex(a0, a1), complex(b0, b1), gamma)
     return HyperCurve.from_quartic(classify(spectral_poly(p0)))
@@ -475,6 +480,51 @@ def test_monodromy_paths_have_at_most_two_clear_legs(name, monkeypatch):
             c = d0 / 2.0 if d0 < clearance else clearance
             for a, b in zip(path, path[1:]):
                 assert genus2._seg_distance(a, b, o) >= c
+
+
+def _last_leg_reference(bc, root, others, approach, nu_here):
+    """The last leg of mu_at_roots panel by panel: each panel's first node
+    is matched to the last node of the panel before, as continued."""
+    u1 = cmath.sqrt(approach - root)
+    t_match = nu_here / u1
+    _, u, _, half = genus2._panels(u1, 0.0, 24)
+    total = 0.0
+    for u_k, half_k in zip(u, half):
+        lam = root + u_k * u_k
+        tv = np.sqrt(-lam * np.prod([lam - r for r in others], axis=0))
+        if abs(tv[0] - t_match) > abs(tv[0] + t_match):
+            tv = -tv
+        total += np.sum(genus2._GW * genus2._cubic(bc, lam) / (tv * lam)
+                        * half_k)
+        t_match = tv[-1]
+    return total
+
+
+@pytest.mark.parametrize("name", [*_FLOW_PERIOD_DRAWS, 1e-3, 1e-2, 1e-1])
+def test_last_leg_pass_equals_panel_by_panel(name, monkeypatch):
+    # the one-pass parity rule against the per-panel loop, on the table draws
+    # and on the split curve at eps = name: the same signs, and ln mu within
+    # 1e-13 (the last leg is the only term that differs)
+    curve = split_curve(name) if isinstance(name, float) else _draw_curve(name)
+    lat = period_lattice(curve)
+    legs = []
+    one_pass = genus2._last_leg
+
+    def recorded(*args):
+        val = one_pass(*args)
+        legs.append((args, val))
+        return val
+
+    for w in (lat.omega1, lat.omega2, lat.omega1 + lat.omega2):
+        monkeypatch.setattr(genus2, "_last_leg", recorded)
+        signs, devs = mu_at_roots(curve, lat, w)
+        monkeypatch.setattr(genus2, "_last_leg", _last_leg_reference)
+        ref_signs, ref_devs = mu_at_roots(curve, lat, w)
+        assert signs == ref_signs
+        assert np.max(np.abs(np.array(devs) - ref_devs)) <= 1e-13
+    assert len(legs) == 12
+    for args, val in legs:
+        assert abs(val - _last_leg_reference(*args)) <= 1e-13
 
 
 def test_mu_at_roots_rejects_a_nan_omega(biquadratic, biq_lattice):
@@ -555,13 +605,8 @@ def _check_windings(curve):
         inside = -1 if cont.label.endswith("-rev") else 1
         nb = len(curve.branch_points)
         assert got[:nb].count(inside) == 2 and got[:nb].count(0) == nb - 2
-        if _negative_arc(cont):
-            # an inner arc of negative radius runs on the far side of its
-            # center, so the capsule crosses itself and a few offset points
-            # by that arc wind twice
-            assert {0, inside} <= set(got[nb:]) <= {0, inside, 2 * inside}
-        else:
-            assert set(got[nb:]) == {0, inside}
+        # a simple closed capsule winds once about its inside points
+        assert set(got[nb:]) == {0, inside}
 
 
 @pytest.mark.parametrize("eps", [None, 1e-2])
@@ -570,11 +615,27 @@ def test_one_sampling_windings_equal_point_by_point(eps, biquadratic):
     _check_windings(biquadratic if eps is None else split_curve(eps))
 
 
-@pytest.mark.parametrize("name", ["generic_cheap", "p0"])
-def test_windings_about_capsules_with_negative_radius_arcs(name):
+@pytest.mark.parametrize("name", list(_FLOW_PERIOD_DRAWS))
+def test_arc_capsules_keep_a_positive_inner_radius(name):
+    # the width is capped at half the chord radius, so the inner arc stays on
+    # the near side of its center; at 0.45 of the clearance alone, the inner
+    # radius was negative on generic_cheap and p0, and those capsules crossed
+    # themselves (offset points by the inner arc wound twice)
     curve = _draw_curve(name)
-    assert any(_negative_arc(c) for c in _capsules(curve))
+    for cont in _capsules(curve):
+        assert not _negative_arc(cont)
     _check_windings(curve)
+
+
+def test_table_capsules_keep_a_positive_inner_radius():
+    # every generic and dear potential of the g2_lattice table
+    doc = json.loads(_G2_TABLE.read_text())
+    rows = doc["generic"] + doc["dear"]
+    for a0, a1, b0, b1, gamma in rows:
+        p = Potential(complex(a0, a1), complex(b0, b1), gamma)
+        curve = HyperCurve.from_quartic(classify(spectral_poly(p)))
+        for cont in _capsules(curve):
+            assert not _negative_arc(cont)
 
 
 def test_closed_form_windings_of_full_circles():
@@ -660,13 +721,18 @@ def test_every_panel_keeps_its_distance_rule(biquadratic):
     # a panel is at most 0.45 of the distance from its midpoint to the
     # nearest branch point long, unless it is at the 2^-26 floor; the
     # length is |dpoint| (s1 - s0), which does not depend on Arc.length
+    # each arc is also checked as its negative-radius twin, which traces the
+    # same points
     checked_negative = False
     for name in _CAPSULE_CURVES:
         curve = _named_curve(name, biquadratic)
         bp = curve.branch_points
         for cont in _capsules(curve):
-            checked_negative |= _negative_arc(cont)
-            for piece in cont.pieces:
+            twins = [genus2.Arc(p.center, -p.radius, p.th0 + math.pi,
+                                p.th1 + math.pi)
+                     for p in cont.pieces if isinstance(p, genus2.Arc)]
+            checked_negative |= bool(twins)
+            for piece in cont.pieces + twins:
                 speed = abs(piece.dpoint(0.5))
                 for s0, s1 in genus2._panelize(piece, bp, 4):
                     mid = piece.point_at(0.5 * (s0 + s1))

@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgtori.errors import AmbiguousRootError, ClassError, DomainError, MembershipError
 from sgtori.potentials import (Potential, SpectralClass, SpectralQuartic,
-                               check_membership, classify, eval_zeta,
-                               fixed_point_potential, off_diagonal_points,
-                               quartic_from_roots, resultant_bc, spectral_poly)
+                               _circle_value, check_membership, classify,
+                               eval_zeta, fixed_point_potential,
+                               off_diagonal_points, quartic_from_roots,
+                               resultant_bc, spectral_poly)
+
+_G2_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "g2_potentials.json"
 
 
 def fit_quartic_from_det(p):
@@ -152,6 +156,74 @@ def test_membership_positivity_scan():
     q = spectral_poly(Potential(0.2 + 0.1j, -0.3j, 1.5))
     vmin = check_membership(q)
     assert vmin > -1e-10
+
+
+def _table_potentials():
+    doc = json.loads(_G2_TABLE.read_text())
+    rows = doc["generic"] + doc["dear"] + [f["potential"]
+                                           for f in doc["failing"]]
+    return [Potential(complex(a0, a1), complex(b0, b1), gamma)
+            for a0, a1, b0, b1, gamma in rows]
+
+
+def _circle_scale(q, n):
+    """lam^-2 a(lam) on an n-point circle grid, and check_membership's
+    scale max(1, max |value|)."""
+    lam = np.exp(2j * np.pi * np.arange(n) / n)
+    v = (q(lam) / lam ** 2).real
+    return v, max(1.0, float(np.max(np.abs(v))))
+
+
+def test_scalar_circle_value_matches_the_quartic():
+    # Horner's rule on Python scalars against np.polyval, at 256 points of
+    # the circle, relative to the circle's scale
+    for p in [Potential(0.2 + 0.1j, -0.3j, 1.5)] + _table_potentials()[:20]:
+        q = spectral_poly(p)
+        coeffs = q.coeffs().tolist()
+        _, scale = _circle_scale(q, 256)
+        for t in 2.0 * np.pi * np.arange(256) / 256:
+            lam = np.exp(1j * t)
+            got = _circle_value(coeffs, float(t))
+            assert abs(got - q(lam) / lam ** 2) <= 1e-15 * scale
+
+
+def test_membership_minimum_against_a_dense_scan():
+    # the refined minimum is no worse than a 65,536-point scan
+    for p in [Potential(0.2 + 0.1j, -0.3j, 1.5)] + _table_potentials()[:20]:
+        q = spectral_poly(p)
+        v, scale = _circle_scale(q, 65536)
+        assert check_membership(q) <= float(np.min(v)) + 1e-12 * scale
+
+
+def test_membership_refinement_catches_a_minimum_between_grid_points():
+    # lam^-2 a = 2 cos 2t + 2 Re(a1 e^{it}) + a2 on the circle; a2 puts its
+    # minimum at -1e-8 of its maximum (the scale), between two of the 256
+    # grid points, where the grid alone reads about +2e-4
+    a1 = 0.3 * np.exp(1.1j)
+    t = np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)
+    g = 2.0 * np.cos(2.0 * t) + 2.0 * (a1 * np.exp(1j * t)).real
+    ext = []
+    for t0 in (t[np.argmin(g)], t[np.argmax(g)]):
+        for _ in range(8):
+            e = a1 * np.exp(1j * t0)
+            t0 -= ((-4.0 * np.sin(2.0 * t0) - 2.0 * e.imag)
+                   / (-8.0 * np.cos(2.0 * t0) - 2.0 * e.real))
+        ext.append(2.0 * np.cos(2.0 * t0) + 2.0 * (a1 * np.exp(1j * t0)).real)
+    gmin, gmax = ext
+    a2 = (-1e-8 * gmax - gmin) / (1.0 + 1e-8)
+    q = SpectralQuartic(complex(a1), float(a2))
+    scale = gmax + a2
+    assert abs(gmin + a2 + 1e-8 * scale) <= 1e-14 * scale
+    assert np.min(_circle_scale(q, 256)[0]) > 1e-5
+    with pytest.raises(MembershipError):
+        check_membership(q)
+
+
+def test_every_table_potential_classifies():
+    # the potentials of the g2_lattice benchmark table, the failing probe
+    # draw included, are all in the four-simple-roots stratum
+    for p in _table_potentials():
+        assert classify(spectral_poly(p)).cls is SpectralClass.M21
 
 
 class TestFixedPoint:
